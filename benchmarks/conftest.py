@@ -2,22 +2,22 @@
 
 Every benchmark regenerates one table or figure of the paper and records
 its headline numbers through :mod:`harness` (see ``benchmarks/harness.py``):
-the JSON artefact ``BENCH_<name>.json`` at the repository root is the
-source of truth, and the ``benchmarks/results/*.txt`` tables are rendered
-from it.  ``python benchmarks/harness.py check`` gates the emitted numbers
-against the pinned baselines in ``benchmarks/baselines/``.
+the JSON artefact ``BENCH_<name>.json`` is the source of truth, and the
+``benchmarks/results/*.txt`` tables are rendered from it.  Runs started
+with ``--emit`` write both into the repository (the artefact at its root),
+where ``python benchmarks/harness.py check`` gates the emitted numbers
+against the pinned baselines in ``benchmarks/baselines/``; plain runs
+write them to a temporary directory and leave the tracked files alone.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Tuple
 
 import pytest
 
-from harness import BenchRun, format_table  # noqa: F401  (re-exported helper)
-
-RESULTS_DIR = Path(__file__).parent / "results"
+from harness import REPO_ROOT, RESULTS_DIR, BenchRun, format_table  # noqa: F401
 
 
 @pytest.fixture
@@ -26,8 +26,21 @@ def smoke(request) -> bool:
     return bool(request.config.getoption("--smoke"))
 
 
+@pytest.fixture(scope="session")
+def bench_dirs(request, tmp_path_factory) -> Tuple[Path, Path]:
+    """``(bench_dir, results_dir)`` the benchmark artefacts are written to.
+
+    The repository root and ``benchmarks/results/`` under ``--emit``;
+    otherwise one temporary directory shared by the whole session.
+    """
+    if request.config.getoption("--emit"):
+        return REPO_ROOT, RESULTS_DIR
+    scratch = tmp_path_factory.mktemp("bench")
+    return scratch, scratch / "results"
+
+
 @pytest.fixture
-def bench(request, smoke):
+def bench(request, smoke, bench_dirs):
     """Factory for :class:`harness.BenchRun` records, finished at teardown.
 
     Usage::
@@ -37,9 +50,9 @@ def bench(request, smoke):
             run.metric("ops_per_sec", 123.0, direction="higher")
             run.table("core_speed", "Table 1: ...", headers, rows)
 
-    Each named run writes ``BENCH_<name>.json`` at the repository root and
-    renders its tables to ``benchmarks/results/`` when the test finishes.
-    The run's tier is ``smoke`` or ``full`` depending on ``--smoke``.
+    Each named run writes ``BENCH_<name>.json`` and renders its tables
+    into :func:`bench_dirs` when the test finishes.  The run's tier is
+    ``smoke`` or ``full`` depending on ``--smoke``.
     """
     runs = []
 
@@ -49,8 +62,9 @@ def bench(request, smoke):
         return run
 
     yield _bench
+    bench_dir, results_dir = bench_dirs
     for run in runs:
-        run.finish(quiet=False)
+        run.finish(bench_dir=bench_dir, quiet=False, results_dir=results_dir)
 
 
 @pytest.fixture

@@ -87,13 +87,20 @@ class ArrivalProcess:
         peak = self.peak_rate
         if peak <= 0 or duration_s <= 0:
             return []
+        # One exponential gap, then one acceptance uniform, per candidate.
+        # ``scale * standard_exponential()`` is exactly what
+        # ``exponential(scale)`` computes, minus its argument checks.
+        scale = 1.0 / peak
+        exponential = rng.standard_exponential
+        uniform = rng.random
+        rate = self.rate
         out: List[float] = []
         time_s = 0.0
         while True:
-            time_s += float(rng.exponential(1.0 / peak))
+            time_s += scale * exponential()
             if time_s >= duration_s:
                 break
-            if float(rng.random()) * peak <= self.rate(time_s):
+            if uniform() * peak <= rate(time_s):
                 out.append(time_s)
         return out
 

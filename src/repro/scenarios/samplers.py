@@ -13,10 +13,11 @@ one sample (stable draw counts keep scenario replays bit-identical).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
-__all__ = ["BoundedPareto", "bounded_pareto"]
+__all__ = ["BoundedPareto", "bounded_pareto", "categorical_picks"]
 
 
 def bounded_pareto(
@@ -33,16 +34,27 @@ def bounded_pareto(
     Returns:
         A sample in ``[lower, upper]``.
     """
-    if alpha <= 0:
-        raise ValueError("tail exponent must be positive")
-    if not (0 < lower <= upper):
-        raise ValueError("need 0 < lower <= upper")
-    if lower == upper:
-        rng.random()  # keep the draw count stable for degenerate bounds
-        return lower
-    u = rng.random()
-    ratio = (lower / upper) ** alpha
-    return lower * (1.0 - u * (1.0 - ratio)) ** (-1.0 / alpha)
+    return BoundedPareto(alpha, lower, upper).sample(rng)
+
+
+def categorical_picks(probabilities: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Map uniforms to category indices the way ``Generator.choice`` does.
+
+    ``rng.choice(len(p), p=p)`` draws one uniform ``u`` and returns
+    ``searchsorted(cumsum(p) / sum(p), u, side="right")``; applying that
+    mapping to a block of uniforms gives the same picks as one ``choice``
+    call per uniform, without its per-call argument checks.
+
+    Args:
+        probabilities: non-negative category weights summing to one.
+        uniforms: variates in ``[0, 1)``, one per pick.
+
+    Returns:
+        One category index per uniform.
+    """
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
 
 
 @dataclass(frozen=True)
@@ -74,7 +86,29 @@ class BoundedPareto:
         Returns:
             A sample in ``[lower, upper]``.
         """
-        return bounded_pareto(rng, self.alpha, self.lower, self.upper)
+        return self.quantiles((rng.random(),))[0]
+
+    def quantiles(self, uniforms: Sequence[float]) -> List[float]:
+        """Apply the inverse CDF to each uniform variate.
+
+        The arithmetic runs on Python floats: ``np.power`` is not
+        guaranteed to round like ``**``, and every sample must equal the
+        one :meth:`sample` draws from the same uniform.  Degenerate bounds
+        (``lower == upper``) ignore the variates but still take one each,
+        so draw counts stay stable.
+
+        Args:
+            uniforms: variates in ``[0, 1)``.
+
+        Returns:
+            One sample in ``[lower, upper]`` per variate.
+        """
+        a, low, high = self.alpha, self.lower, self.upper
+        if low == high:
+            return [low] * len(uniforms)
+        span = 1.0 - (low / high) ** a
+        exponent = -1.0 / a
+        return [low * (1.0 - u * span) ** exponent for u in uniforms]
 
     @property
     def mean(self) -> float:

@@ -10,15 +10,22 @@ spec always yields the same workload bit-for-bit:
 Splitting arrivals and attributes into independent streams means adding
 a size sampler (say) never perturbs *when* requests arrive -- only what
 they look like -- which keeps replay diffs readable.
+
+A tenant's attribute stream is drawn as one ``(n, k)`` block of uniforms:
+row ``i`` holds request ``i``'s endpoint uniform, then its size uniform
+(when ``sizes`` is set), then its deadline uniform (when ``deadlines`` is
+set).  Row-major order is the order a per-request generator would draw
+them in, so the block is the same stream, mapped in bulk.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Tuple
 
 import numpy as np
 
-from repro.scenarios.samplers import BoundedPareto
+from repro.scenarios.samplers import BoundedPareto, categorical_picks
 from repro.scenarios.spec import ScenarioSpec, TenantTrafficSpec
 from repro.serving.endpoints import ServableEndpoint, endpoint
 from repro.serving.gateway import ServingRequest, Tenant
@@ -45,6 +52,8 @@ def _normalised_mix(
     """Resolve the endpoint mix into endpoints plus normalised weights."""
     endpoints = tuple(endpoint(name) for name, _ in traffic.endpoint_mix)
     weights = np.asarray([w for _, w in traffic.endpoint_mix], dtype=float)
+    if not (weights > 0).all():
+        raise ValueError(f"endpoint weights of {traffic.name!r} must be positive")
     return endpoints, weights / weights.sum()
 
 
@@ -62,6 +71,8 @@ def build_workload(spec: ScenarioSpec) -> ServingWorkload:
     """
     requests: List[ServingRequest] = []
     tenants: List[Tenant] = []
+    sizes = BoundedPareto(**vars(spec.sizes)) if spec.sizes else None
+    deadlines = BoundedPareto(**vars(spec.deadlines)) if spec.deadlines else None
     for index, traffic in enumerate(spec.traffic):
         tenants.append(_tenant_contract(traffic))
         tenant_seed = spec.seed.shard_seed(index)
@@ -77,19 +88,22 @@ def build_workload(spec: ScenarioSpec) -> ServingWorkload:
         offsets = traffic.arrival.build().generate(window, arrival_rng)
 
         endpoints, weights = _normalised_mix(traffic)
-        sizes = BoundedPareto(**vars(spec.sizes)) if spec.sizes else None
-        deadlines = BoundedPareto(**vars(spec.deadlines)) if spec.deadlines else None
+        width = 1 + (sizes is not None) + (deadlines is not None)
+        columns = iter(attribute_rng.random((len(offsets), width)).T)
+        picks = categorical_picks(weights, next(columns)).tolist()
+        size_factors = None if sizes is None else sizes.quantiles(next(columns).tolist())
+        deadline_factors = (
+            None if deadlines is None else deadlines.quantiles(next(columns).tolist())
+        )
         for k, offset in enumerate(offsets):
             arrival_s = traffic.join_s + offset
-            choice = endpoints[
-                int(attribute_rng.choice(len(endpoints), p=weights))
-            ]
+            choice = endpoints[picks[k]]
             gops = choice.gops_per_request
-            if sizes is not None:
-                gops *= sizes.sample(attribute_rng)
+            if size_factors is not None:
+                gops *= size_factors[k]
             margin = choice.default_deadline_s
-            if deadlines is not None:
-                margin *= deadlines.sample(attribute_rng)
+            if deadline_factors is not None:
+                margin *= deadline_factors[k]
             requests.append(
                 ServingRequest(
                     request_id=f"{traffic.name}-{k:06d}",
@@ -103,5 +117,5 @@ def build_workload(spec: ScenarioSpec) -> ServingWorkload:
                     deadline_s=arrival_s + margin,
                 )
             )
-    requests.sort(key=lambda r: (r.arrival_s, r.request_id))
+    requests.sort(key=attrgetter("arrival_s", "request_id"))
     return ServingWorkload(tenants=tuple(tenants), requests=tuple(requests))
