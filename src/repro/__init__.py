@@ -32,8 +32,8 @@ platforms.  This package reproduces the stack on top of simulated hardware:
   loop over the telemetry signals with Holt-Winters demand forecasting.
 * :mod:`repro.api`           -- the declarative deployment API:
   :class:`DeploymentSpec` (validated, JSON/TOML-round-trippable section
-  tree), the backend protocol, and reusable :class:`Deployment` serving
-  sessions.
+  tree), the one serving backend, and reusable :class:`Deployment`
+  serving sessions.
 * :mod:`repro.core`          -- the integrated LEGaTO ecosystem facade and
   project-goal metrics.
 """
@@ -49,7 +49,7 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.api.deployment import Deployment
 from repro.api.spec import DeploymentSpec, SpecValidationError
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "Autoscaler",

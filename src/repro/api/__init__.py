@@ -1,18 +1,18 @@
 """Declarative deployment API: spec in, reusable serving session out.
 
-This package replaces the kwarg-explosion facade (`serve(workload,
-cluster_scale=, use_score_cache=, batch_policy=, heats_config=, seed=,
-num_shards=, autoscale=, autoscale_config=)`) with the shape production
-schedulers are actually driven by:
+This package is the only serving entry.  It replaced the kwarg facade
+(``LegatoSystem.serve/federate/autoscaler``, removed in 1.6; the
+migration table in ``docs/api.md`` maps each old kwarg to its spec
+field) with the shape production schedulers are actually driven by:
 
 * :mod:`repro.api.spec`       -- :class:`DeploymentSpec`, a frozen,
   validated, JSON/TOML-round-trippable tree of sections (topology,
   scheduler, serving, autoscale, telemetry) with preset factories and
   all-errors-at-once validation.
-* :mod:`repro.api.backend`    -- the :class:`Backend` protocol and its
-  three implementations (single cluster, federated, autoscaled), so the
-  serve paths previously forked inside ``LegatoSystem.serve()`` are one
-  polymorphic build step.
+* :mod:`repro.api.backend`    -- :class:`Backend`, the one serving
+  backend: it picks its shape (single cluster, federation, or federation
+  with an attached autoscaler) once from the spec and wires the gateway
+  into the serving loop on one path for all three.
 * :mod:`repro.api.deployment` -- :class:`Deployment`: build the backend
   once, then serve many workloads against warm state (profiled models,
   score caches, affinity pins, telemetry, elastic topology), with a
@@ -23,13 +23,7 @@ Entry points: ``Deployment.from_spec(spec)`` or
 ``LegatoSystem().deploy(spec)``.
 """
 
-from repro.api.backend import (
-    AutoscaledBackend,
-    Backend,
-    FederatedBackend,
-    SingleClusterBackend,
-    build_backend,
-)
+from repro.api.backend import Backend
 from repro.api.deployment import Deployment, ServingTick
 from repro.api.spec import (
     PRESETS,
@@ -46,20 +40,16 @@ from repro.core.seeding import SeedPolicy
 
 __all__ = [
     "AutoscaleSpec",
-    "AutoscaledBackend",
     "Backend",
     "Deployment",
     "DeploymentSpec",
-    "FederatedBackend",
     "PRESETS",
     "SchedulerSpec",
     "SeedPolicy",
     "ServingSpec",
     "ServingTick",
-    "SingleClusterBackend",
     "SpecIssue",
     "SpecValidationError",
     "TelemetrySpec",
     "TopologySpec",
-    "build_backend",
 ]

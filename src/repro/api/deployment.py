@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.api.backend import Backend, build_backend
+from repro.api.backend import Backend
 from repro.api.spec import DeploymentSpec
 from repro.scheduler.modeling import profiling_run_count
 from repro.serving.loop import ServingReport, ServingWorkload
@@ -101,12 +101,10 @@ class Deployment:
         self._last_report: Optional[ServingReport] = None
         #: the session's tracer; disabled (a no-op) unless the spec sets
         #: ``telemetry.tracing``.
-        self.tracer: Tracer = getattr(backend, "tracer", None) or Tracer.disabled()
+        self.tracer: Tracer = backend.tracer or Tracer.disabled()
         #: the session's host-time phase profiler; disabled (a no-op)
         #: unless the spec sets ``telemetry.profiling``.
-        self.profiler: PhaseProfiler = (
-            getattr(backend, "profiler", None) or PhaseProfiler.disabled()
-        )
+        self.profiler: PhaseProfiler = backend.profiler or PhaseProfiler.disabled()
         self._serve_runs = metrics.counter(SERVE_RUNS_METRIC)
         self._profilings = metrics.counter(PROFILING_METRIC)
 
@@ -134,7 +132,7 @@ class Deployment:
         before = profiling_run_count()
         tracer = Tracer(enabled=spec.telemetry.tracing)
         profiler = PhaseProfiler(enabled=spec.telemetry.profiling)
-        backend = build_backend(
+        backend = Backend(
             spec,
             metrics if spec.telemetry.enabled else None,
             tracer=tracer if spec.telemetry.tracing else None,

@@ -1,9 +1,8 @@
 """The declarative deployment spec: one validated tree, whole stack.
 
-Three PRs of growth piled nine interacting keyword arguments onto
-``LegatoSystem.serve()`` and near-duplicate parameter sets onto
-``federate()`` / ``autoscaler()``.  :class:`DeploymentSpec` replaces that
-kwarg explosion with what production schedulers are actually driven by: a
+:class:`DeploymentSpec` is the whole serving configuration (it replaced
+the kwarg surface of ``LegatoSystem.serve/federate/autoscaler``, removed
+in 1.6) in the shape production schedulers are actually driven by: a
 frozen, serialisable tree of sections --
 
 * :class:`TopologySpec`  -- shard count, cluster scale, seed policy;
@@ -27,7 +26,6 @@ rely on at construction time.)
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Any, Dict, List, Mapping, Optional, Tuple, get_type_hints
 
@@ -247,13 +245,6 @@ class ServingSpec:
             deadline slack before a deadline-driven flush.
         flush_tick_s: cadence at which the gateway drains into the
             batcher and stale batches flush.
-        fast_path: **deprecated, ignored.**  The legacy ``fast_path=False``
-            scan paths were removed when the simulator core went
-            array-native; every run now uses the (outcome-identical)
-            event-driven ingest and vectorised capacity-gated retry.  The
-            field is kept so old specs still load and round-trip through
-            JSON/TOML losslessly; setting it to ``False`` emits a
-            :class:`DeprecationWarning` and changes nothing.
     """
 
     max_batch_size: int = 16
@@ -261,21 +252,6 @@ class ServingSpec:
     memory_bucket_gib: float = 0.5
     deadline_margin_s: float = 0.5
     flush_tick_s: float = 0.5
-    fast_path: bool = True
-
-    def __post_init__(self) -> None:
-        # Deprecation shim, not validation (see the module docstring for
-        # why sections don't raise here): old specs carrying the retired
-        # flag must keep loading, and a lossless round-trip must preserve
-        # whatever they said -- but flipping it no longer selects a path.
-        if self.fast_path is not True:
-            warnings.warn(
-                "ServingSpec.fast_path is deprecated and ignored: the "
-                "legacy scan path was removed; every run uses the "
-                "array-native event-driven core",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
     def validate(self, path: str = "serving") -> List[SpecIssue]:
         """Collect every problem with this section.

@@ -1,7 +1,7 @@
 """Elastic shard/node autoscaling over the federated serving stack.
 
 PR 2's federation scaled statically: shard and node counts were fixed at
-``federate()`` time, so a traffic spike saturated shards while a lull
+build time, so a traffic spike saturated shards while a lull
 burned idle node energy.  This package closes the loop the telemetry bus
 opens: a control loop subscribes to per-shard saturation, thermal
 headroom, queueing delay, and SLA-violation signals, forecasts near-term
@@ -16,8 +16,10 @@ per-tenant demand, and actuates elastic capacity.
 * :mod:`repro.autoscale.controller` -- the :class:`Autoscaler` control
   loop and its :class:`AutoscaleReport`.
 
-``LegatoSystem.serve(workload, autoscale=True)`` and
-``LegatoSystem.autoscaler()`` are the facade entry points.
+A deployment spec with ``autoscale.enabled`` (the ``"autoscaled"``
+preset) is the entry point: ``LegatoSystem().deploy(spec)`` builds a
+backend with the controller attached, and
+``deployment.backend.autoscaler`` is the controller of the latest run.
 """
 
 from repro.autoscale.forecast import EwmaForecaster, HoltWintersForecaster

@@ -72,8 +72,8 @@ class LegatoConfig:
     replication_policy: ReplicationPolicy = ReplicationPolicy.SELECTIVE
     undervolt_platform: str = "VC707"
     undervolt_max_accuracy_drop: float = 0.01
-    #: elastic-scaling knobs used when serving with ``autoscale=True``; the
-    #: deployment-wide default ``serve(autoscale_config=...)`` overrides.
+    #: elastic-scaling defaults reported by ``LegatoSystem.describe()``;
+    #: a deployment takes its knobs from the spec's ``autoscale`` section.
     autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
 
     def __post_init__(self) -> None:

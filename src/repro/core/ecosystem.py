@@ -12,18 +12,12 @@ deployment of the same hardware.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.api.deployment import Deployment
     from repro.api.spec import DeploymentSpec
-    from repro.autoscale.controller import Autoscaler
-    from repro.autoscale.policy import AutoscaleConfig
-    from repro.federation.federation import Federation
-    from repro.federation.policy import FederationConfig
-    from repro.telemetry.registry import MetricsRegistry
 
 from repro.compiler.toolchain import CompilationResult, Toolchain
 from repro.core.config import LegatoConfig
@@ -43,10 +37,7 @@ from repro.runtime.fault_tolerance import (
 from repro.runtime.graph import TaskGraph
 from repro.runtime.ompss import ExecutionTrace, OmpSsRuntime, SchedulingPolicy
 from repro.runtime.task import Task
-from repro.scheduler.heats import HeatsConfig
 from repro.security.secure_task import SecureExecutionReport, SecureTaskExecutor
-from repro.serving.batching import BatchPolicy
-from repro.serving.loop import ServingReport, ServingWorkload
 from repro.undervolting.mlresilience import UndervoltedInferenceStudy, VoltageAccuracyPoint
 from repro.usecases.iot_gateway import SecureIotGateway
 from repro.usecases.ml_inference import InferenceService
@@ -222,234 +213,6 @@ class LegatoSystem:
         if spec is None:
             spec = DeploymentSpec.preset("single")
         return Deployment.from_spec(spec, system=self)
-
-    def _spec_from_serve_kwargs(
-        self,
-        cluster_scale: int,
-        use_score_cache: bool,
-        batch_policy: Optional[BatchPolicy],
-        heats_config: Optional[HeatsConfig],
-        seed: int,
-        num_shards: int,
-        autoscale: bool,
-        autoscale_config: Optional["AutoscaleConfig"],
-        telemetry: Optional[bool] = None,
-    ) -> "DeploymentSpec":
-        """Translate the legacy kwarg surface into one deployment spec.
-
-        The single translation point for all three deprecated shims
-        (``serve``/``federate``/``autoscaler``), so a knob added here is
-        automatically honoured by every shim.
-        """
-        from repro.api.spec import (
-            AutoscaleSpec,
-            DeploymentSpec,
-            SchedulerSpec,
-            ServingSpec,
-            TelemetrySpec,
-            TopologySpec,
-        )
-        from repro.core.seeding import SeedPolicy
-
-        return DeploymentSpec(
-            name=self.config.name,
-            topology=TopologySpec(
-                cluster_scale=cluster_scale,
-                shards=num_shards,
-                seed=SeedPolicy(base=seed),
-            ),
-            scheduler=SchedulerSpec.from_heats_config(
-                heats_config, score_cache=use_score_cache
-            ),
-            serving=ServingSpec.from_batch_policy(batch_policy),
-            autoscale=AutoscaleSpec.from_config(
-                autoscale_config if autoscale_config is not None else self.config.autoscale,
-                enabled=autoscale,
-            ),
-            telemetry=TelemetrySpec(
-                enabled=autoscale if telemetry is None else telemetry
-            ),
-        )
-
-    def serve(
-        self,
-        workload: ServingWorkload,
-        cluster_scale: int = 1,
-        use_score_cache: bool = True,
-        batch_policy: Optional[BatchPolicy] = None,
-        heats_config: Optional[HeatsConfig] = None,
-        seed: int = 7,
-        num_shards: int = 1,
-        autoscale: bool = False,
-        autoscale_config: Optional["AutoscaleConfig"] = None,
-    ) -> ServingReport:
-        """Serve one request stream (deprecated kwarg shim over deploy).
-
-        .. deprecated:: 1.4
-            This kwarg surface is frozen and will be removed one release
-            after 1.4; build a :class:`~repro.api.spec.DeploymentSpec`
-            and use ``deploy(spec).serve(workload)`` instead.  The shim
-            translates the kwargs into exactly that call, so reports are
-            bit-identical to the spec API.
-
-        Args:
-            workload: tenants plus their request stream.
-            cluster_scale: total ``heats_testbed`` scale (4 * scale nodes);
-                must be divisible by ``num_shards``.
-            use_score_cache: attach prediction-score cache(s).
-            batch_policy: optional batching override.
-            heats_config: node-level scheduler tunables.
-            seed: profiling seed (shards derive independent seeds).
-            num_shards: number of federation shards; 1 = single cluster
-                (an autoscaled run treats 1 as a one-shard federation).
-            autoscale: attach the elastic control loop.
-            autoscale_config: control-loop tunables; defaults to the
-                deployment configuration's ``autoscale`` section.
-
-        Returns:
-            The :class:`ServingReport` for the run.
-        """
-        warnings.warn(
-            "LegatoSystem.serve(**kwargs) is deprecated; build a "
-            "DeploymentSpec and serve through "
-            "LegatoSystem.deploy(spec).serve(workload) (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = self._spec_from_serve_kwargs(
-            cluster_scale,
-            use_score_cache,
-            batch_policy,
-            heats_config,
-            seed,
-            num_shards,
-            autoscale,
-            autoscale_config,
-        )
-        with self.deploy(spec) as deployment:
-            return deployment.serve(workload)
-
-    def federate(
-        self,
-        num_shards: int = 2,
-        shard_scale: int = 1,
-        use_score_cache: bool = True,
-        heats_config: Optional[HeatsConfig] = None,
-        federation_config: Optional["FederationConfig"] = None,
-        seed: int = 7,
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> "Federation":
-        """Build a federation of HEATS shards (deprecated kwarg shim).
-
-        .. deprecated:: 1.4
-            Use a spec with ``topology.shards > 1`` and
-            ``deploy(spec)`` instead; the session keeps the federation
-            warm across workloads.  This shim translates its kwargs into
-            a spec and returns the backend's
-            :class:`~repro.federation.federation.Federation` unchanged.
-
-        Args:
-            num_shards: number of member shards.
-            shard_scale: ``heats_testbed`` scale per shard.
-            use_score_cache: attach per-shard prediction-score caches.
-            heats_config: node-level scheduler tunables, copied per shard.
-            federation_config: shard-selection and migration tunables.
-            seed: federation base seed; shard ``i`` profiles with the
-                seed policy's ``shard_seed(i)``.
-            metrics: optional telemetry bus wired through the routing,
-                admission, and batching hot paths.
-
-        Returns:
-            A :class:`~repro.federation.federation.Federation` ready to
-            serve one workload.
-        """
-        from repro.api.backend import FederatedBackend
-
-        warnings.warn(
-            "LegatoSystem.federate(**kwargs) is deprecated; use a "
-            "DeploymentSpec with topology.shards > 1 and "
-            "LegatoSystem.deploy(spec) (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = self._spec_from_serve_kwargs(
-            cluster_scale=num_shards * shard_scale,
-            use_score_cache=use_score_cache,
-            batch_policy=None,
-            heats_config=heats_config,
-            seed=seed,
-            num_shards=num_shards,
-            autoscale=False,
-            autoscale_config=None,
-            telemetry=metrics is not None,
-        ).check()
-        backend = FederatedBackend(
-            spec, metrics=metrics, federation_config=federation_config
-        )
-        return backend.federation
-
-    def autoscaler(
-        self,
-        num_shards: int = 1,
-        shard_scale: int = 1,
-        autoscale_config: Optional["AutoscaleConfig"] = None,
-        use_score_cache: bool = True,
-        heats_config: Optional[HeatsConfig] = None,
-        federation_config: Optional["FederationConfig"] = None,
-        seed: int = 7,
-    ) -> "Autoscaler":
-        """Build an elastic federation + control loop (deprecated shim).
-
-        .. deprecated:: 1.4
-            Use a spec with ``autoscale.enabled`` and ``deploy(spec)``
-            instead; the session rebuilds a fresh controller per run
-            while keeping the elastic topology warm.  This shim
-            translates its kwargs into a spec and returns the backend's
-            attached :class:`~repro.autoscale.controller.Autoscaler`.
-
-        Args:
-            num_shards: initial shard count.
-            shard_scale: initial ``heats_testbed`` scale per shard.
-            autoscale_config: control-loop tunables; defaults to the
-                deployment configuration's ``autoscale`` section.
-            use_score_cache: attach per-shard prediction-score caches.
-            heats_config: node-level scheduler tunables, copied per shard.
-            federation_config: shard-selection and migration tunables; its
-                rescheduling interval is overridden by the control
-                interval so control and migration share one heartbeat.
-            seed: federation base seed.
-
-        Returns:
-            The attached :class:`~repro.autoscale.controller.Autoscaler`.
-        """
-        from repro.api.backend import AutoscaledBackend
-        from repro.telemetry.registry import MetricsRegistry
-
-        warnings.warn(
-            "LegatoSystem.autoscaler(**kwargs) is deprecated; use a "
-            "DeploymentSpec with autoscale.enabled=True and "
-            "LegatoSystem.deploy(spec) (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = self._spec_from_serve_kwargs(
-            cluster_scale=num_shards * shard_scale,
-            use_score_cache=use_score_cache,
-            batch_policy=None,
-            heats_config=heats_config,
-            seed=seed,
-            num_shards=num_shards,
-            autoscale=True,
-            autoscale_config=autoscale_config,
-        ).check()
-        backend = AutoscaledBackend(
-            spec,
-            metrics=MetricsRegistry(
-                default_histogram_window=spec.telemetry.histogram_window
-            ),
-            federation_config=federation_config,
-        )
-        return backend.autoscaler
 
     # ------------------------------------------------------------------ #
     # Undervolting coupling

@@ -11,7 +11,8 @@ this package adds the layer above it the ROADMAP north star asks for:
 * :mod:`repro.federation.federation` -- :class:`FederatedScheduler`
   (two-level placement, tenant affinity, cross-shard migration),
   :class:`FederatedCluster` (the union view the simulator drives), and
-  the :class:`Federation` facade built by ``LegatoSystem.federate()``.
+  the :class:`Federation` (topology plus routing) that a deployment spec
+  with ``topology.shards > 1`` builds behind ``LegatoSystem().deploy``.
 """
 
 from repro.federation.policy import (

@@ -740,10 +740,11 @@ class FederatedScheduler:
 
 
 class Federation:
-    """A built federation: shards, union cluster, scheduler, serving entry.
+    """A built federation: shards, union cluster, scheduler, elastic topology.
 
-    Like a :class:`~repro.serving.loop.ServingLoop`, a federation carries
-    mutable cluster state; build a fresh one per serving run.
+    Topology plus routing only: serving goes through
+    :class:`~repro.api.backend.Backend`, which keeps one federation warm
+    across many serving runs and resets its per-run routing stats.
     """
 
     def __init__(
@@ -757,13 +758,13 @@ class Federation:
         Args:
             shards: member shards with federation-unique node names.
             config: federation tunables; defaults to ``FederationConfig()``.
-            metrics: optional telemetry bus shared by the router (and, via
-                :meth:`serve`, the gateway and batcher hot paths).
+            metrics: optional telemetry bus shared by the router (and,
+                when served through a backend, the gateway and batcher hot
+                paths).
         """
         self.metrics = metrics
         self.scheduler = FederatedScheduler(shards, config=config, metrics=metrics)
         self.cluster = FederatedCluster(self.scheduler.shards)
-        self._served = False
         # Build parameters for shards added later by the autoscaler; the
         # defaults match ClusterShard.build and are overridden by build().
         self.seed_policy = SeedPolicy()
@@ -822,7 +823,7 @@ class Federation:
                 keeps the cache default.
 
         Returns:
-            A ready-to-serve :class:`Federation`.
+            The built :class:`Federation`.
         """
         if num_shards <= 0:
             raise ValueError("a federation needs at least one shard")
@@ -1006,119 +1007,3 @@ class Federation:
             Shard scores sorted best first.
         """
         return score_shards(self.shards, energy_weight, self.scheduler.config)
-
-    def serve(self, workload, batch_policy=None):
-        """Serve a multi-tenant workload through the federation (one-shot).
-
-        Builds the gateway over the workload's tenants (registering their
-        preferred regions as affinity seeds) and runs the serving loop
-        with the federated cluster and scheduler as the backend.  When the
-        federation carries a telemetry bus, the gateway and batcher hot
-        paths record into it, and when an autoscaler is attached to the
-        scheduler the report additionally carries its
-        :class:`~repro.autoscale.controller.AutoscaleReport`.
-
-        This is the one-shot entry: it refuses a second call because the
-        shard cluster state carries the previous run.  Deployment
-        sessions (:class:`repro.api.Deployment`) use
-        :meth:`run_workload`, which verifies the cluster drained back to
-        idle and serves again against the warm state.
-
-        Args:
-            workload: a :class:`~repro.serving.loop.ServingWorkload`.
-            batch_policy: optional
-                :class:`~repro.serving.batching.BatchPolicy` override.
-
-        Returns:
-            The :class:`~repro.serving.loop.ServingReport`, with
-            ``federation_stats`` populated.
-        """
-        if self._served:
-            raise RuntimeError(
-                "a Federation can only serve once; shard cluster state "
-                "carries the previous run -- build a fresh federation, or "
-                "serve through a Deployment session (repro.api) to reuse "
-                "warm state"
-            )
-        self._served = True
-        return self._run_serving(workload, batch_policy, 0.5, None, None)
-
-    def run_workload(
-        self,
-        workload,
-        batch_policy=None,
-        flush_tick_s: float = 0.5,
-        tracer=None,
-        profiler=None,
-    ):
-        """Serve a workload against warm state (repeatable session entry).
-
-        The profiled prediction models, score caches, tenant affinity
-        pins, and any elastically grown topology all stay warm between
-        calls -- only the per-run serving state (gateway, batcher, SLA
-        tracker, routing stats) is rebuilt.  The previous run must have
-        drained completely: every completed simulation releases all of
-        its reservations, so a non-idle cluster means the caller is
-        interleaving runs on shared state.
-
-        Args:
-            workload: a :class:`~repro.serving.loop.ServingWorkload`.
-            batch_policy: optional
-                :class:`~repro.serving.batching.BatchPolicy` override.
-            flush_tick_s: gateway-drain / batch-flush cadence.
-            tracer: optional
-                :class:`~repro.telemetry.trace.Tracer`; when enabled the
-                run records request-scoped spans (admission, batching,
-                placement with shard annotations, migration, completion)
-                surfaced on ``ServingReport.trace_spans``.
-            profiler: optional
-                :class:`~repro.telemetry.profile.PhaseProfiler`; when
-                enabled the run records a host-time phase breakdown
-                (ingest / simulate / rollup, with routing and autoscale
-                nested inside).
-
-        Returns:
-            The :class:`~repro.serving.loop.ServingReport`, with
-            ``federation_stats`` holding *this run's* routing telemetry.
-        """
-        capacity = self.cluster.capacity()
-        if capacity.free_cores != capacity.total_cores:
-            raise RuntimeError(
-                "the federation still hosts running tasks from a previous "
-                "run; serve runs back-to-back, not interleaved"
-            )
-        self._served = True
-        # Routing telemetry is per-run in a session: the warm caches and
-        # pins carry over, the counters must not.
-        self.scheduler.federation_stats = FederationStats()
-        return self._run_serving(
-            workload, batch_policy, flush_tick_s, tracer, profiler
-        )
-
-    def _run_serving(
-        self,
-        workload,
-        batch_policy,
-        flush_tick_s: float,
-        tracer,
-        profiler,
-    ):
-        """Shared serving body for :meth:`serve` and :meth:`run_workload`."""
-        from repro.serving.gateway import RequestGateway
-        from repro.serving.loop import ServingLoop
-
-        gateway = RequestGateway(workload.tenants, metrics=self.metrics)
-        for tenant in workload.tenants:
-            if tenant.region is not None:
-                self.scheduler.register_tenant_region(tenant.name, tenant.region)
-        loop = ServingLoop(
-            self.cluster,
-            self.scheduler,
-            gateway,
-            batch_policy=batch_policy,
-            flush_tick_s=flush_tick_s,
-            metrics=self.metrics,
-            tracer=tracer,
-            profiler=profiler,
-        )
-        return loop.run(workload.requests)

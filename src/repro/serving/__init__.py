@@ -18,8 +18,8 @@ stream of user requests" to "tasks placed on the cluster":
 * :mod:`repro.serving.loop`      -- the serving loop driving the
   discrete-event cluster simulator as its placement backend.
 
-``LegatoSystem.serve(workload)`` is the facade entry point wiring all of
-the above together.
+``LegatoSystem().deploy(spec).serve(workload)`` is the entry point: its
+:class:`~repro.api.backend.Backend` wires all of the above together.
 """
 
 from repro.serving.gateway import (

@@ -5,15 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro import Deployment, DeploymentSpec, LegatoSystem, ServingWorkload
-from repro.api import (
-    AutoscaledBackend,
-    AutoscaleSpec,
-    FederatedBackend,
-    SingleClusterBackend,
-    TelemetrySpec,
-    TopologySpec,
-)
+from repro.api import AutoscaleSpec, TelemetrySpec, TopologySpec
 from repro.api.deployment import PROFILING_METRIC, SERVE_RUNS_METRIC
+from repro.core.seeding import SeedPolicy
 from repro.serving import Tenant
 
 
@@ -42,19 +36,22 @@ def _workload(seed: int = 5, rps: float = 12.0) -> ServingWorkload:
 class TestBackendSelection:
     def test_single_shape(self):
         deployment = Deployment.from_spec(DeploymentSpec.preset("single"))
-        assert isinstance(deployment.backend, SingleClusterBackend)
+        assert deployment.backend.name == "single"
+        assert deployment.backend.federation is None
         assert deployment.snapshot()["topology"]["backend"] == "single"
 
     def test_federated_shape(self):
         deployment = Deployment.from_spec(DeploymentSpec.preset("federated"))
-        assert isinstance(deployment.backend, FederatedBackend)
+        assert deployment.backend.name == "federated"
+        assert deployment.backend.autoscaler is None
         topology = deployment.backend.topology()
         assert topology["total_nodes"] == 16
         assert len(topology["shards"]) == 4
 
     def test_autoscaled_shape(self):
         deployment = Deployment.from_spec(DeploymentSpec.preset("autoscaled"))
-        assert isinstance(deployment.backend, AutoscaledBackend)
+        assert deployment.backend.name == "autoscaled"
+        assert deployment.backend.autoscaler is not None
         assert deployment.backend.topology()["bounds"]["max_shards"] == 4
 
     def test_invalid_spec_is_rejected_on_deploy(self):
@@ -120,6 +117,25 @@ class TestWarmReuse:
             second.horizon_s + control_interval
         )
         assert deployment.serve_runs == 2
+
+
+class TestInterleaveGuard:
+    @pytest.mark.parametrize("preset", ["single", "federated", "autoscaled"])
+    def test_serve_refuses_a_busy_cluster_until_it_is_released(self, preset):
+        deployment = Deployment.from_spec(DeploymentSpec.preset(preset))
+        backend = deployment.backend
+        host = backend.federation if backend.federation is not None else backend
+        node = host.cluster.nodes[0]
+        # Leftover reservations are what interleaving two runs on the
+        # shared cluster state would look like.
+        node.reserve("leftover", 1, 0.5)
+        with pytest.raises(RuntimeError, match="back-to-back, not interleaved"):
+            deployment.serve(_workload())
+        assert deployment.serve_runs == 0
+        node.release("leftover")
+        report = deployment.serve(_workload())
+        assert report.completed > 0
+        assert deployment.serve_runs == 1
 
 
 class TestLifecycle:
@@ -234,3 +250,20 @@ class TestSnapshot:
         # have grown (or drained back), but the view must follow reality.
         assert after == deployment.backend.federation.total_nodes
         assert before == 4
+
+
+class TestSeedPolicyCentralisation:
+    def test_shard_seeds_match_the_historic_rule(self):
+        policy = SeedPolicy()
+        # The documented, centralised rules reproduce the magic numbers
+        # they replaced: base 7, shard stride 101, probe stride 1009.
+        assert [policy.shard_seed(index) for index in range(4)] == [7, 108, 209, 310]
+        assert policy.probe_seed(policy.shard_seed(1), 0) == 108 + 1009
+
+    def test_grow_node_probes_with_the_policy_seed(self):
+        deployment = LegatoSystem().deploy(DeploymentSpec.preset("federated"))
+        federation = deployment.backend.federation
+        shard = federation.shards[0]
+        node = shard.grow_node("xeon-d-x86")
+        assert node.name.endswith("auto0-xeon-d-x86")
+        assert shard.grown_nodes == 1

@@ -16,7 +16,7 @@ from repro.api import (
     TelemetrySpec,
     TopologySpec,
 )
-from repro.api.serialization import tomllib
+from repro.api.serialization import dumps_json, dumps_toml, tomllib
 from repro.core.seeding import SeedPolicy
 
 
@@ -269,6 +269,40 @@ class TestSerializedRoundTrips:
         parsed = tomllib.loads(document)
         assert parsed["autoscale"]["enabled"] is True
         assert parsed["topology"]["seed"]["base"] == 7
+
+
+class TestRetiredFastPath:
+    """``serving.fast_path`` was removed in 1.6: an old spec fails loudly."""
+
+    @staticmethod
+    def _old_spec_dict():
+        data = DeploymentSpec().to_dict()
+        data["serving"]["fast_path"] = False
+        return data
+
+    @staticmethod
+    def _assert_rejected(excinfo):
+        issues = [(issue.path, issue.message) for issue in excinfo.value.issues]
+        assert issues == [("serving.fast_path", "unknown field")]
+
+    def test_from_dict_rejects_fast_path(self):
+        with pytest.raises(SpecValidationError) as excinfo:
+            DeploymentSpec.from_dict({"serving": {"fast_path": False}})
+        self._assert_rejected(excinfo)
+
+    def test_json_round_trip_rejects_fast_path(self):
+        with pytest.raises(SpecValidationError) as excinfo:
+            DeploymentSpec.from_json(dumps_json(self._old_spec_dict()))
+        self._assert_rejected(excinfo)
+
+    def test_toml_round_trip_rejects_fast_path(self):
+        if tomllib is None:
+            pytest.skip("tomllib needs Python >= 3.11")
+        document = dumps_toml(self._old_spec_dict())
+        assert "fast_path = false" in document
+        with pytest.raises(SpecValidationError) as excinfo:
+            DeploymentSpec.from_toml(document)
+        self._assert_rejected(excinfo)
 
 
 class TestDiff:

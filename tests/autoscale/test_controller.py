@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LegatoSystem, MetricsRegistry, ServingWorkload
+from repro import DeploymentSpec, LegatoSystem, MetricsRegistry, ServingWorkload
+from repro.api import AutoscaleSpec, TelemetrySpec, TopologySpec
 from repro.autoscale import Autoscaler, AutoscaleConfig, ScalingAction
 from repro.federation import Federation, FederationConfig
 from repro.serving import Tenant
@@ -184,7 +185,7 @@ class TestAccounting:
 
 
 class TestFacade:
-    def test_serve_autoscale_true_runs_elastically(self):
+    def test_autoscaled_deployment_runs_elastically(self):
         tenants = [
             Tenant(name="hot", rate_limit_rps=400.0, burst=200, energy_weight=0.2),
             Tenant(name="cold", rate_limit_rps=400.0, burst=200, energy_weight=0.8),
@@ -199,7 +200,8 @@ class TestFacade:
             duration_s=20.0,
             seed=5,
         )
-        report = LegatoSystem().serve(workload, cluster_scale=1, autoscale=True)
+        deployment = LegatoSystem().deploy(DeploymentSpec.preset("autoscaled"))
+        report = deployment.serve(workload)
         # Round-trip conservation still holds under elastic topology...
         assert report.completed > 0
         assert report.admitted == report.completed + report.dropped
@@ -211,8 +213,13 @@ class TestFacade:
         assert auto.node_seconds > 0
         assert report.summary()["autoscale"]["peak_nodes"] == auto.peak_nodes
 
-    def test_system_autoscaler_builds_attached_controller(self):
-        scaler = LegatoSystem().autoscaler(num_shards=2)
+    def test_autoscaled_backend_attaches_controller(self):
+        spec = DeploymentSpec(
+            topology=TopologySpec(cluster_scale=2, shards=2),
+            autoscale=AutoscaleSpec(enabled=True),
+            telemetry=TelemetrySpec(enabled=True),
+        )
+        scaler = LegatoSystem().deploy(spec).backend.autoscaler
         assert scaler.federation.scheduler.autoscaler is scaler
         assert scaler.federation.metrics is not None
         # Control heartbeat aligned with the federation's rescheduler.

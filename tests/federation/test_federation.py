@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LegatoSystem, ServingWorkload
+from repro import DeploymentSpec, LegatoSystem, ServingWorkload
+from repro.api import TopologySpec
+from repro.core.seeding import SeedPolicy
 from repro.federation import (
     ClusterShard,
     Federation,
@@ -177,27 +179,28 @@ class TestFederatedServing:
             tenants, mix, offered_rps=12.0, duration_s=15.0, seed=seed
         )
 
-    def test_serve_populates_federation_stats(self, federation):
-        report = federation.serve(self._workload())
+    def test_serve_populates_federation_stats(self):
+        spec = DeploymentSpec(
+            topology=TopologySpec(cluster_scale=2, shards=2, seed=SeedPolicy(base=11))
+        )
+        report = LegatoSystem().deploy(spec).serve(self._workload())
         assert report.federation_stats is not None
         assert report.federation_stats.placements > 0
         assert "federation" in report.summary()
         assert report.admitted == report.completed + report.dropped
 
-    def test_federation_serves_once(self, federation):
-        federation.serve(self._workload())
-        with pytest.raises(RuntimeError):
-            federation.serve(self._workload())
-
     def test_system_serve_with_shards(self):
-        report = LegatoSystem().serve(self._workload(), cluster_scale=2, num_shards=2)
+        spec = DeploymentSpec(topology=TopologySpec(cluster_scale=2, shards=2))
+        report = LegatoSystem().deploy(spec).serve(self._workload())
         assert report.federation_stats is not None
         assert report.completed > 0
 
     def test_system_serve_rejects_undivisible_scale(self):
         with pytest.raises(ValueError):
-            LegatoSystem().serve(self._workload(), cluster_scale=3, num_shards=2)
+            LegatoSystem().deploy(
+                DeploymentSpec(topology=TopologySpec(cluster_scale=3, shards=2))
+            )
 
     def test_single_cluster_serve_has_no_federation_stats(self):
-        report = LegatoSystem().serve(self._workload(), cluster_scale=1)
+        report = LegatoSystem().deploy(DeploymentSpec()).serve(self._workload())
         assert report.federation_stats is None

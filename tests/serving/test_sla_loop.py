@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import LegatoSystem, ServingWorkload
+from repro import DeploymentSpec, LegatoSystem, ServingWorkload
+from repro.api import SchedulerSpec, TopologySpec
 from repro.scheduler.cluster import Cluster
 from repro.scheduler.heats import HeatsScheduler
 from repro.scheduler.modeling import ProfilingCampaign
@@ -138,7 +139,8 @@ class TestServingLoop:
 
     def test_facade_serve_round_trip(self):
         workload = _two_tenant_workload(offered_rps=12.0, duration_s=20.0)
-        report = LegatoSystem().serve(workload, cluster_scale=2)
+        spec = DeploymentSpec(topology=TopologySpec(cluster_scale=2))
+        report = LegatoSystem().deploy(spec).serve(workload)
         assert report.completed > 0
         assert report.cache_stats is not None
         assert report.cache_stats.lookups > 0
@@ -147,8 +149,13 @@ class TestServingLoop:
 
     def test_cache_off_matches_cache_on_outcome(self):
         workload = _two_tenant_workload(offered_rps=12.0, duration_s=20.0)
-        on = LegatoSystem().serve(workload, cluster_scale=2, use_score_cache=True)
-        off = LegatoSystem().serve(workload, cluster_scale=2, use_score_cache=False)
+        topology = TopologySpec(cluster_scale=2)
+        on = LegatoSystem().deploy(
+            DeploymentSpec(topology=topology, scheduler=SchedulerSpec(score_cache=True))
+        ).serve(workload)
+        off = LegatoSystem().deploy(
+            DeploymentSpec(topology=topology, scheduler=SchedulerSpec(score_cache=False))
+        ).serve(workload)
         assert on.offered == off.offered
         assert on.completed == off.completed
         assert off.cache_stats is None
