@@ -378,8 +378,8 @@ def test_serving_federation_shard_sweep(bench, smoke):
     # ...and the two-level router stays cheap: since the array-native
     # capacity table answers whole-fleet candidate discovery with one
     # memoised vectorised mask, per-place cost at this 32-node fleet is
-    # dominated by fixed scoring work, not fleet size — so sharding can
-    # no longer be *cheaper* per call, but the shard-ranking hop must
-    # stay a bounded fraction of a placement (it is O(shards), and a
+    # dominated by fixed scoring work, not fleet size — so the
+    # shard-ranking hop must stay a bounded fraction of a placement (it
+    # is O(shards), skipped when a tenant's pinned shard hosts, and a
     # regression to O(fleet) routing would blow well past this bound).
     assert best[4][0] <= best[1][0] * 1.5

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.registry import MetricsRegistry
@@ -37,7 +37,7 @@ from repro.federation.policy import (
     score_shards,
 )
 from repro.federation.shard import ClusterShard
-from repro.scheduler.cluster import Cluster
+from repro.scheduler.cluster import CapacitySnapshot, Cluster
 from repro.scheduler.heats import HeatsConfig
 from repro.scheduler.placement import Placement
 from repro.scheduler.workload import TaskRequest
@@ -223,6 +223,10 @@ class FederatedScheduler:
         self._energy_weight_total = self.config.thermal_weight + self.config.price_weight
         self._price_norm: Dict[str, float] = {}
         self._rebuild_price_norm()
+        # shard name -> (capacity snapshot, price norm, perf pressure,
+        # energy pressure): a shard's pressures only move when its
+        # memoised snapshot is replaced or its price is re-normalised.
+        self._pressures: Dict[str, Tuple[CapacitySnapshot, float, float, float]] = {}
         # Hot-path instruments are bound once here; recording is a float
         # add / ring write per event, never a registry lookup.
         self.metrics = metrics
@@ -298,6 +302,7 @@ class FederatedScheduler:
         for node in shard.cluster:
             del self._node_shard[node.name]
         self._draining.discard(name)
+        self._pressures.pop(name, None)
         # Any pin still pointing at the removed shard would silently count
         # an affinity miss per request forever; drop the stale pins.
         for tenant, pinned in list(self._affinity.items()):
@@ -434,38 +439,39 @@ class FederatedScheduler:
         shard identically for identical cluster state, regardless of
         which subset of shards is under consideration.
         """
-        config = self.config
         capacity = shard.cluster.capacity()
-        perf_pressure = (
-            config.cpu_weight * (1.0 - capacity.free_core_fraction)
-            + config.memory_weight * (1.0 - capacity.free_memory_fraction)
-        ) / self._perf_weight_total
-        energy_pressure = (
-            config.thermal_weight * (1.0 - capacity.thermal_headroom)
-            + config.price_weight * self._price_norm[shard.name]
-        ) / self._energy_weight_total
-        return (1.0 - energy_weight) * perf_pressure + energy_weight * energy_pressure
+        price = self._price_norm[shard.name]
+        memo = self._pressures.get(shard.name)
+        if memo is None or memo[0] is not capacity or memo[1] != price:
+            config = self.config
+            perf_pressure = (
+                config.cpu_weight * (1.0 - capacity.free_core_fraction)
+                + config.memory_weight * (1.0 - capacity.free_memory_fraction)
+            ) / self._perf_weight_total
+            energy_pressure = (
+                config.thermal_weight * (1.0 - capacity.thermal_headroom)
+                + config.price_weight * price
+            ) / self._energy_weight_total
+            memo = (capacity, price, perf_pressure, energy_pressure)
+            self._pressures[shard.name] = memo
+        return (1.0 - energy_weight) * memo[2] + energy_weight * memo[3]
 
-    def _routing_order(self, request: TaskRequest) -> Tuple[List[ClusterShard], Optional[str]]:
+    def _routing_order(
+        self, request: TaskRequest
+    ) -> Tuple[Iterator[ClusterShard], Optional[str]]:
         """Shards to try in order, plus the tenant's pinned shard name.
 
-        Draining shards are excluded outright: anything not yet placed
-        (queued requests included) must land on a shard that will still
-        exist when the task finishes.
+        The tenant's preferred shard (its unsaturated pin, or the shard
+        its region seeds) comes first; the other shards follow best score
+        first.  The order is lazy, so a preferred shard that hosts the
+        request spares scoring the rest.  Draining shards are excluded
+        outright: anything not yet placed (queued requests included) must
+        land on a shard that will still exist when the task finishes.
         """
-        weight = request.energy_weight
-        candidates = (
-            [s for s in self.shards if s.name not in self._draining]
-            if self._draining
-            else self.shards
-        )
-        order = sorted(
-            candidates, key=lambda shard: (self._shard_score(shard, weight), shard.name)
-        )
         pinned: Optional[str] = None
+        preferred: Optional[ClusterShard] = None
         if request.tenant is not None and self.config.sticky_affinity:
             pinned = self._affinity.get(request.tenant)
-            preferred: Optional[ClusterShard] = None
             if pinned is not None and pinned not in self._draining:
                 shard = self._by_name[pinned]
                 if not shard.is_saturated(self.config.saturation_free_core_fraction):
@@ -481,9 +487,26 @@ class FederatedScheduler:
                 ):
                     preferred = seeded
                     self.federation_stats.region_seeded += 1
-            if preferred is not None:
-                order = [preferred] + [s for s in order if s.name != preferred.name]
-        return order, pinned
+        return self._shards_in_order(preferred, request.energy_weight), pinned
+
+    def _shards_in_order(
+        self, preferred: Optional[ClusterShard], energy_weight: float
+    ) -> Iterator[ClusterShard]:
+        if preferred is not None:
+            yield preferred
+        candidates = (
+            [s for s in self.shards if s.name not in self._draining]
+            if self._draining
+            else self.shards
+        )
+        # Shard names are unique, so the shard itself is never compared.
+        ranked = sorted(
+            (self._shard_score(shard, energy_weight), shard.name, shard)
+            for shard in candidates
+        )
+        for _, name, shard in ranked:
+            if preferred is None or name != preferred.name:
+                yield shard
 
     # ------------------------------------------------------------------ #
     # SchedulerProtocol: placement

@@ -3,9 +3,13 @@
 Each preset deployment serves the same fixed two-tenant workloads twice,
 back to back, so the warm-state resets between runs (routing stats,
 tenant-region seeding, the per-run autoscale controller) are part of
-what is pinned.  One scenario run with chaos on a federated deployment
-pins the scheduler-swapping path as well.  The digest hashes the same
-fields as ``benchmarks/e2e/run.py:report_digest``: ``summary()`` without
+what is pinned.  Non-preset variants pin the spec fields the presets
+leave at their defaults (batch policy, HEATS migration threshold, seed
+base, score cache off) on the backend shapes they reach.  Every constant
+was computed before serving moved onto one backend class.  One scenario
+run with chaos on a federated deployment pins the scheduler-swapping
+path as well.  The digest hashes the same fields as
+``benchmarks/e2e/run.py:report_digest``: ``summary()`` without
 ``trace``, then ``latencies_s`` and ``completions_s``.
 
 A digest changes only when a report does.  If a change is meant to alter
@@ -16,12 +20,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
 import pytest
 
-from repro.api import Deployment, DeploymentSpec
+from repro.api import (
+    AutoscaleSpec,
+    Deployment,
+    DeploymentSpec,
+    SchedulerSpec,
+    ServingSpec,
+    TelemetrySpec,
+    TopologySpec,
+)
 from repro.core.seeding import SeedPolicy
 from repro.scenarios import (
     ArrivalSpec,
@@ -31,12 +44,24 @@ from repro.scenarios import (
     ScenarioSpec,
     TenantTrafficSpec,
 )
-from repro.serving import ServingWorkload, Tenant
+from repro.scheduler.heats import HeatsConfig
+from repro.serving import BatchPolicy, ServingWorkload, Tenant
 
 PRESET_GOLDENS = {
     "single": "067c90ac21e36ef767036c53af401d5bc2c2a8e9d3d897abca0d6eec0e454f6c",
     "federated": "e00ea993e1f0feefc1e08cf7891f8b3d6cee9b575ea2b13f097fbccab0455463",
     "autoscaled": "2f6fc8e0e9a1c065d83c554d975ed6d88e5ac0db7f5da4b1ae8759ca9532cab7",
+}
+# The score cache memoises HEATS scores and must change no outcome, so the
+# uncached variants of a preset keep that preset's digest.
+VARIANT_GOLDENS = {
+    "batched": "928ddd061727c779a331daaa4bc99ef476fd9044cd524f983f76767848ffea09",
+    "federated_migration_threshold":
+        "c7309e750395e9e94e56cad1eccae8b789acbc7417f8608b77675aa23ff7ae28",
+    "autoscaled_federated":
+        "befcf7cde6e1ab4be8b61def7fa25bcdd5317a19765441ef54142964896ce44a",
+    "uncached": PRESET_GOLDENS["single"],
+    "federated_uncached": PRESET_GOLDENS["federated"],
 }
 SCENARIO_GOLDEN = "6e6c5894a1e6371cce87108c163107d03eb1ad9c9549175ab9e0edd3699f3d4c"
 
@@ -58,6 +83,38 @@ def _workload(seed: int) -> ServingWorkload:
         duration_s=20.0,
         seed=seed,
     )
+
+
+def _variant(name: str) -> DeploymentSpec:
+    if name == "batched":
+        return DeploymentSpec(
+            topology=TopologySpec(cluster_scale=2, seed=SeedPolicy(base=11)),
+            serving=ServingSpec.from_batch_policy(
+                BatchPolicy(max_batch_size=8, max_delay_s=1.5)
+            ),
+        )
+    if name == "federated_migration_threshold":
+        return DeploymentSpec(
+            topology=TopologySpec(cluster_scale=4, shards=2, seed=SeedPolicy(base=13)),
+            scheduler=SchedulerSpec.from_heats_config(
+                HeatsConfig(migration_improvement_threshold=0.1)
+            ),
+        )
+    if name == "autoscaled_federated":
+        return DeploymentSpec(
+            topology=TopologySpec(cluster_scale=2, shards=2, seed=SeedPolicy(base=17)),
+            autoscale=AutoscaleSpec(enabled=True),
+            telemetry=TelemetrySpec(enabled=True),
+        )
+    if name == "uncached":
+        return replace(
+            DeploymentSpec.preset("single"), scheduler=SchedulerSpec(score_cache=False)
+        )
+    if name == "federated_uncached":
+        return replace(
+            DeploymentSpec.preset("federated"), scheduler=SchedulerSpec(score_cache=False)
+        )
+    raise KeyError(name)
 
 
 def _scenario() -> ScenarioSpec:
@@ -105,6 +162,16 @@ def test_preset_serves_match_golden(preset: str) -> None:
     reports = [deployment.serve(_workload(seed)) for seed in (31, 32)]
     assert all(report.completed > 0 for report in reports)
     assert _digest(reports) == PRESET_GOLDENS[preset]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_GOLDENS))
+def test_spec_variant_serves_match_golden(variant: str) -> None:
+    deployment = Deployment.from_spec(_variant(variant))
+    reports = [deployment.serve(_workload(seed)) for seed in (31, 32)]
+    assert all(report.completed > 0 for report in reports)
+    if not deployment.spec.scheduler.score_cache:
+        assert all(report.cache_stats is None for report in reports)
+    assert _digest(reports) == VARIANT_GOLDENS[variant]
 
 
 def test_federated_scenario_matches_golden() -> None:

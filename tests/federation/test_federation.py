@@ -85,6 +85,13 @@ class TestFederationBuild:
         with pytest.raises(ValueError):
             FederatedScheduler([shard, shard])
 
+    def test_shard_seeds_follow_the_seed_policy(self):
+        federation = Federation.build(num_shards=3, seed=31)
+        policy = SeedPolicy(base=31)
+        assert [shard.seed for shard in federation.shards] == [
+            policy.shard_seed(index) for index in range(3)
+        ]
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             Federation.build(num_shards=0)
@@ -150,6 +157,31 @@ class TestFederatedPlacement:
         assert moved_to != pinned
         assert scheduler.federation_stats.affinity_misses == 1
         assert scheduler.affinity_shard("acme") == moved_to
+
+    def test_routing_follows_load_and_price_changes(self):
+        profiles = [ShardProfile("west", 0.10), ShardProfile("east", 0.10)]
+        federation = Federation.build(num_shards=2, shard_scale=1, profiles=profiles)
+        scheduler = federation.scheduler
+        first, second = federation.shards
+
+        def routed(weight):
+            node = scheduler.place(
+                _request("probe", weight=weight), federation.cluster, 0.0
+            )
+            return scheduler.shard_of_node(node)
+
+        # Idle twins tie on score; the shard name breaks the tie.
+        assert routed(0.0) == first.name
+        node = first.cluster.nodes[0]
+        node.reserve("load", node.available.cores, 0.1)
+        assert routed(0.0) == second.name
+        node.release("load")
+        assert routed(0.0) == first.name
+        assert routed(1.0) == first.name
+        federation.reprice_shard(first.name, 0.30)
+        assert routed(1.0) == second.name
+        federation.reprice_shard(first.name, 0.10)
+        assert routed(1.0) == first.name
 
     def test_unplaceable_request_counts(self, federation):
         for shard in federation.shards:
