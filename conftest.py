@@ -9,9 +9,18 @@ Registers two benchmark flags:
   ``BENCH_*.json`` artefacts and ``benchmarks/results/*.txt`` tables.
   Without it they write to a temporary directory, so a plain ``pytest``
   run leaves the tracked files untouched.
+
+It also registers the hypothesis ``ci`` profile (``--hypothesis-profile=ci``):
+derandomized examples and no per-example deadline, so the property suites
+replay the same cases on every run and a slow shared runner cannot flake
+them.
 """
 
 from __future__ import annotations
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def pytest_addoption(parser):

@@ -6,6 +6,12 @@ bounded ingress queue, and the energy/performance weight its batches carry
 into HEATS scoring.  The gateway admits or rejects each offered request at
 its arrival instant and hands admitted requests downstream in round-robin
 order across tenants so one noisy tenant cannot starve the others.
+
+:meth:`RequestGateway.offer` is the public admission entry.  Admission
+itself has one implementation, a private pass over one tenant's arrival
+column: :class:`~repro.serving.loop.ServingLoop` runs it once per tenant
+for a whole stream, and ``offer`` runs it over a single request and
+queues the request if admitted.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Deque, Dict, Iterable, List, Optional, Sequence
 
 from repro.hardware.microserver import WorkloadKind
 
@@ -130,6 +136,17 @@ class AdmissionDecision(Enum):
         return self is AdmissionDecision.ADMITTED
 
 
+#: decisions indexed by the outcome codes :meth:`RequestGateway._admit` returns.
+_ADMISSION_OUTCOMES = (
+    AdmissionDecision.ADMITTED,
+    AdmissionDecision.REJECTED_RATE_LIMIT,
+    AdmissionDecision.REJECTED_QUEUE_FULL,
+    AdmissionDecision.REJECTED_UNKNOWN_TENANT,
+)
+#: outcome codes (positions in :data:`_ADMISSION_OUTCOMES`).
+_ADMITTED, _REJECTED_RATE_LIMIT, _REJECTED_QUEUE_FULL, _REJECTED_UNKNOWN_TENANT = range(4)
+
+
 @dataclass
 class GatewayStats:
     """Per-tenant admission accounting."""
@@ -201,34 +218,103 @@ class RequestGateway:
     # ------------------------------------------------------------------ #
     def offer(self, request: ServingRequest, now_s: Optional[float] = None) -> AdmissionDecision:
         """Admit or reject one request at time ``now_s`` (its arrival by default)."""
-        now = request.arrival_s if now_s is None else now_s
-        tenant = self._tenants.get(request.tenant)
-        if tenant is None:
+        if request.tenant not in self._tenants:
             return AdmissionDecision.REJECTED_UNKNOWN_TENANT
-        stats = self._stats[request.tenant]
-        stats.offered += 1
+        now = request.arrival_s if now_s is None else now_s
+        decision = _ADMISSION_OUTCOMES[self._admit(request.tenant, (now,), (0,))[0]]
+        if decision is AdmissionDecision.ADMITTED:
+            self._enqueue((request,))
+        return decision
+
+    def _admit(
+        self, tenant: str, arrivals_s: Sequence[float], drain_periods: Sequence[int]
+    ) -> bytearray:
+        """Decide admission for a run of one tenant's offers, in time order.
+
+        Each offer is checked against the tenant's queue bound first (a
+        queue-full rejection does not burn rate budget), then against its
+        token bucket, with the bucket's own float operations in its own
+        order, so the decisions and the bucket state equal those of one
+        :meth:`TokenBucket.try_consume` per offer.  Stats and metrics are
+        updated once for the whole run.  Admitted requests are *not*
+        queued here: the caller hands them to :meth:`_enqueue` before it
+        decides again.
+
+        Args:
+            tenant: a registered tenant's name.
+            arrivals_s: non-decreasing offer instants.
+            drain_periods: per offer, the index of the drain period it
+                falls in (non-decreasing).  The caller drains the queue
+                whenever the period changes, so the queue depth an offer
+                sees is the requests already queued when the call began
+                (period 0 only) plus the admissions earlier in its period.
+
+        Returns:
+            One outcome code per offer, indexing :data:`_ADMISSION_OUTCOMES`.
+
+        Raises:
+            KeyError: if the tenant is not registered.
+            ValueError: if an arrival precedes the bucket's last refill.
+        """
+        spec = self.tenant(tenant)
+        bucket = self._buckets[tenant]
+        rate = bucket.rate_per_s
+        burst = bucket.burst
+        full_after_s = burst / rate
+        tokens = bucket._tokens
+        last_s = bucket._last_refill_s
+        limit = spec.max_queue_depth
+        depth = len(self._queues[tenant])
+        period = 0
+        outcomes = bytearray()
+        outcome = outcomes.append
+        for now, offer_period in zip(arrivals_s, drain_periods):
+            if offer_period != period:
+                period = offer_period
+                depth = 0
+            if depth >= limit:
+                outcome(_REJECTED_QUEUE_FULL)
+                continue
+            # TokenBucket._refill + try_consume, inlined: min() spelt as
+            # the comparison it makes, so even a NaN resolves the same way.
+            if now < last_s:
+                raise ValueError("token bucket observed time going backwards")
+            elapsed = now - last_s
+            if full_after_s < elapsed:
+                elapsed = full_after_s
+            refilled = tokens + elapsed * rate
+            tokens = refilled if refilled < burst else burst
+            last_s = now
+            if tokens >= 1.0:
+                tokens -= 1.0
+                depth += 1
+                outcome(_ADMITTED)
+            else:
+                outcome(_REJECTED_RATE_LIMIT)
+        bucket._tokens = tokens
+        bucket._last_refill_s = last_s
+        admitted = outcomes.count(_ADMITTED)
+        stats = self._stats[tenant]
+        stats.offered += len(outcomes)
+        stats.admitted += admitted
+        stats.rejected_queue_full += outcomes.count(_REJECTED_QUEUE_FULL)
+        stats.rejected_rate_limit += outcomes.count(_REJECTED_RATE_LIMIT)
         if self._m_offered is not None:
-            self._m_offered.inc()
-        # Check queue capacity before consuming a token so a queue-full
-        # rejection does not also burn the tenant's rate budget.
-        queue = self._queues[request.tenant]
-        if len(queue) >= tenant.max_queue_depth:
-            stats.rejected_queue_full += 1
-            if self._m_rejected is not None:
-                self._m_rejected.inc()
-            return AdmissionDecision.REJECTED_QUEUE_FULL
-        if not self._buckets[request.tenant].try_consume(now):
-            stats.rejected_rate_limit += 1
-            if self._m_rejected is not None:
-                self._m_rejected.inc()
-            return AdmissionDecision.REJECTED_RATE_LIMIT
-        queue.append(request)
-        self._queued_total += 1
-        stats.admitted += 1
-        if self._m_admitted is not None:
-            self._m_admitted.inc()
-            self._m_queue_depth.add(1.0)
-        return AdmissionDecision.ADMITTED
+            self._m_offered.inc(len(outcomes))
+            self._m_admitted.inc(admitted)
+            self._m_rejected.inc(len(outcomes) - admitted)
+        return outcomes
+
+    def _enqueue(self, admitted: Iterable[ServingRequest]) -> None:
+        """Queue requests :meth:`_admit` admitted, behind their tenants' queues."""
+        queues = self._queues
+        count = 0
+        for request in admitted:
+            queues[request.tenant].append(request)
+            count += 1
+        self._queued_total += count
+        if self._m_queue_depth is not None and count:
+            self._m_queue_depth.add(float(count))
 
     def drain(self, limit: Optional[int] = None) -> List[ServingRequest]:
         """Pop admitted requests, round-robin across tenants for fairness."""

@@ -10,12 +10,23 @@ cluster, or a :class:`~repro.federation.federation.Federation`'s union
 cluster and federated scheduler (in which case the report additionally
 carries the federation's routing telemetry).  Completions are mapped back
 to the member requests to produce per-tenant SLA telemetry.
+
+The front half is columnar: the stream becomes arrival, tick-bin and
+tenant columns once per run, every admission is decided in one pass per
+tenant, and only the admitted requests walk the tick grid into the
+batcher.  The rollup gathers each completed task's finish time and energy
+onto its members in bulk.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter, is_not
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.registry import MetricsRegistry
@@ -25,10 +36,109 @@ from repro.scheduler.simulation import ClusterSimulator, SchedulerProtocol, Simu
 from repro.scheduler.workload import TaskRequest
 from repro.serving.batching import Batch, Batcher, BatchPolicy
 from repro.serving.cache import CacheStats
-from repro.serving.gateway import AdmissionDecision, RequestGateway, ServingRequest, Tenant
+from repro.serving.gateway import (
+    _ADMISSION_OUTCOMES,
+    _ADMITTED,
+    _REJECTED_UNKNOWN_TENANT,
+    AdmissionDecision,
+    RequestGateway,
+    ServingRequest,
+    Tenant,
+)
 from repro.serving.sla import SlaTracker, TenantSlaReport, percentiles
 from repro.telemetry.profile import NULL_PHASE, PhaseProfiler
 from repro.telemetry.trace import Span, Tracer, TraceSummary, summarize_trace
+
+#: replay order of a request stream: arrival, ties by request id.
+_REPLAY_ORDER = attrgetter("arrival_s", "request_id")
+_ARRIVAL = attrgetter("arrival_s")
+_TENANT = attrgetter("tenant")
+_DEADLINE = attrgetter("deadline_s")
+_MEMBERS = attrgetter("requests")
+_FINISH = attrgetter("finish_s")
+_TASK_ID = attrgetter("task_id")
+_ENERGY = attrgetter("energy_j")
+
+
+def _groups(codes: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+    """Rows grouped by code with one stable argsort.
+
+    Returns:
+        The grouping order (row indices, ascending within a code) and one
+        ``(code, start, stop)`` slice of it per code present, in code
+        order; the cost does not grow with the number of possible codes.
+    """
+    order = np.argsort(codes, kind="stable")
+    grouped = codes[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=grouped[:1] - 1)).tolist()
+    stops = starts[1:] + [len(order)]
+    return order, list(zip(grouped[starts].tolist(), starts, stops))
+
+
+def _tick_bins(arrivals: np.ndarray, tick: float) -> np.ndarray:
+    """Per arrival, the largest ``k`` with ``k * tick <= arrival``.
+
+    Found with the walk's own comparison (``(k + 1) * tick <= arrival``),
+    so a bin boundary lands where the walk crosses a tick even when the
+    tick is not exactly representable.
+    """
+    if len(arrivals) and arrivals[-1] / tick >= 2.0**53:
+        raise ValueError(
+            f"arrival {arrivals[-1]} s is beyond the exact range of the "
+            f"{tick} s flush-tick grid"
+        )
+    bins = (arrivals / tick).astype(np.int64)
+    while True:
+        early = (bins + 1) * tick <= arrivals
+        if not early.any():
+            break
+        bins += early
+    while True:
+        late = bins * tick > arrivals
+        if not late.any():
+            break
+        bins -= late
+    return bins
+
+
+def _member_outcomes(
+    done: Sequence[Batch], completed: Sequence[object], tenant_codes: Dict[str, int]
+) -> Tuple[np.ndarray, List[float], np.ndarray, np.ndarray, Tuple[np.ndarray, list]]:
+    """Per member of each completed task, in completion order.
+
+    Args:
+        done: the completed tasks' batches.
+        completed: the completed tasks, aligned with ``done``.
+        tenant_codes: a code per tenant the members can belong to.
+
+    Returns:
+        Each task's member count; then per member the latency
+        (``finish - arrival`` clipped at 0, as Python floats), the
+        deadline-hit and deadline-miss masks (a member without a deadline
+        is in neither); and the members grouped by tenant code
+        (:func:`_groups`).
+    """
+    per_task = list(map(_MEMBERS, done))
+    sizes = np.fromiter(map(len, per_task), dtype=np.int64, count=len(done))
+    members = list(chain.from_iterable(per_task))
+    count = len(members)
+    by_tenant = _groups(
+        np.fromiter(
+            map(tenant_codes.__getitem__, map(_TENANT, members)), dtype=np.int32, count=count
+        )
+    )
+    finish = np.repeat(np.fromiter(map(_FINISH, completed), dtype=float, count=len(done)), sizes)
+    deadlines = list(map(_DEADLINE, members))
+    has_deadline = np.fromiter(map(is_not, deadlines, repeat(None)), dtype=bool, count=count)
+    # A missing deadline converts to NaN, which no finish time is <=.
+    met = finish <= np.array(deadlines, dtype=float)
+    latency = np.fromiter(map(_ARRIVAL, members), dtype=float, count=count)
+    np.subtract(finish, latency, out=latency)
+    latency[latency < 0.0] = 0.0
+    # The latency floats outlive this call: drop the member-sized
+    # temporaries first, so they are not alive when the floats are made.
+    del per_task, members, finish, deadlines
+    return sizes, latency.tolist(), has_deadline & met, has_deadline & ~met, by_tenant
 
 
 @dataclass(frozen=True)
@@ -254,33 +364,45 @@ class ServingLoop:
         self._request_roots: Dict[str, Span] = {}
         self._gateway_spans: Dict[str, Span] = {}
         self._batch_wait_spans: Dict[str, Span] = {}
+        #: last arrival of the stream, set by ``_ingest``; the horizon's floor.
+        self._arrivals_end_s = 0.0
         self._consumed = False
 
     # ------------------------------------------------------------------ #
     # Front half: admission and batching
     # ------------------------------------------------------------------ #
     def _ingest(self, requests: Sequence[ServingRequest]) -> List[Batch]:
-        """Replay arrivals through gateway + batcher; returns flushed batches.
+        """Admit the stream, walk admissions through the batcher; returns batches.
 
-        The gateway's queues drain into the batcher once per tick, not per
-        offer, so a burst arriving within one tick genuinely fills the
-        bounded tenant queues (queue-full backpressure can fire) and
-        stale/deadline-bound batches flush even across arrival gaps.
+        The stream is sorted once into arrival order and turned into
+        columns: arrival, tick bin (the tick index the walk stands on when
+        the request arrives) and tenant.  The gateway's queues drain into
+        the batcher once per tick, not per offer, so a tenant's queue depth
+        at an offer is the number of its admissions earlier in the same
+        tick bin.  That makes admission independent of the walk: it is
+        decided up front, in one gateway pass per tenant, and a burst
+        arriving within one tick still fills the bounded queues (queue-full
+        backpressure can fire).
 
         The walk is event-driven over the tick grid: ticks where nothing
         can happen (no queued admissions, no batch stale or deadline-due
         yet) are provably no-ops and are skipped wholesale, so the cost
-        scales with arrivals + flushes instead of the horizon.  The
-        drained tail and every flush are stamped on a monotone clock (the
-        batcher enforces it), never behind a member's add time.  The
-        clock is always ``index * tick`` (not repeated addition), so
-        skipping ahead lands exactly on the grid a naive full scan would
-        walk even when the tick is not exactly representable in binary
-        floating point.
+        scales with tick bins + admissions + flushes instead of the
+        horizon.  The drained tail and every flush are stamped on a
+        monotone clock (the batcher enforces it), never behind a member's
+        add time.  The clock is always ``index * tick`` (not repeated
+        addition), so skipping ahead lands exactly on the grid a naive full
+        scan would walk even when the tick is not exactly representable in
+        binary floating point.
         """
-        ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        flushed: List[Batch] = []
         tick = self.flush_tick_s
+        ordered = sorted(requests, key=_REPLAY_ORDER)
+        arrivals = np.fromiter(map(_ARRIVAL, ordered), dtype=float, count=len(ordered))
+        self._arrivals_end_s = ordered[-1].arrival_s if ordered else 0.0
+        bins = _tick_bins(arrivals, tick)
+        outcomes = self._admission_pass(ordered, arrivals, bins)
+
+        flushed: List[Batch] = []
         #: tick counter; the clock is always ``index * tick`` so skipping
         #: ahead lands exactly on the grid the legacy scan walked.
         index = 0
@@ -294,12 +416,20 @@ class ServingLoop:
                 at -= 1
             return at
 
+        add = self._admit_to_batcher if self._trace else self.batcher.add
+
+        def hand_over(now: float) -> None:
+            """Drain the gateway queues into the batcher at ``now``."""
+            for admitted in self.gateway.drain():
+                full = add(admitted, now)
+                if full:
+                    flushed.extend(full)
+
         def run_tick() -> None:
             nonlocal index
             index += 1
             now = index * tick
-            for admitted in self.gateway.drain():
-                flushed.extend(self._admit_to_batcher(admitted, now))
+            hand_over(now)
             flushed.extend(self.batcher.flush_ready(now))
 
         def advance_to(time_s: float) -> None:
@@ -320,27 +450,61 @@ class ServingLoop:
                         index = max(index, last_index_at(due) - 1)
                 run_tick()
 
-        for request in ordered:
-            # Inline no-op guard: most arrivals land inside the current
-            # tick, where advance_to would immediately fall through.
-            if (index + 1) * tick <= request.arrival_s:
-                advance_to(request.arrival_s)
-            decision = self.gateway.offer(request)
-            self.tracker.record_offered(request.tenant, decision.admitted)
+        # One step per tick bin the stream touches: advance to the bin's
+        # first arrival (where the per-request walk crossed into it), then
+        # queue the bin's admissions for the next tick's drain.
+        bounds = np.flatnonzero(np.diff(bins, prepend=-1)).tolist() + [len(ordered)]
+        admitted_rows = np.flatnonzero(outcomes == _ADMITTED)
+        cuts = np.searchsorted(admitted_rows, bounds).tolist()
+        admitted = [ordered[row] for row in admitted_rows.tolist()]
+        for step in range(len(bounds) - 1):
+            arrival = ordered[bounds[step]].arrival_s
+            if (index + 1) * tick <= arrival:
+                advance_to(arrival)
             if self._trace:
-                self._trace_admission(request, decision)
-        end = ordered[-1].arrival_s if ordered else 0.0
+                for row in range(bounds[step], bounds[step + 1]):
+                    self._trace_admission(ordered[row], _ADMISSION_OUTCOMES[outcomes[row]])
+            self.gateway._enqueue(admitted[cuts[step]:cuts[step + 1]])
+        end = self._arrivals_end_s
         advance_to(end)
         # Drain the post-last-arrival admissions on the monotone clock:
         # the batcher stamps them at ``end`` (>= the last processed tick).
-        for admitted in self.gateway.drain():
-            flushed.extend(self._admit_to_batcher(admitted, end))
+        hand_over(end)
         # Keep walking the grid past the last arrival so the tail still
         # flushes through the deadline-/staleness-aware path rather than
         # being stamped wholesale at end + max_delay.
         advance_to(end + self.batcher.policy.max_delay_s + tick)
         flushed.extend(self.batcher.flush_all(max(index * tick, end)))
         return flushed
+
+    def _admission_pass(
+        self, ordered: Sequence[ServingRequest], arrivals: np.ndarray, bins: np.ndarray
+    ) -> np.ndarray:
+        """Decide every offer, one gateway pass per tenant; returns outcome codes.
+
+        Offers to unregistered tenants are rejected here: the tracker
+        counts them as offered and rejected, the gateway never sees them.
+        """
+        names = list(map(_TENANT, ordered))
+        registered = [tenant.name for tenant in self.gateway.tenants]
+        index = {name: code for code, name in enumerate(registered)}
+        unknown = len(registered)
+        codes = np.fromiter(
+            map(index.get, names, repeat(unknown)), dtype=np.int64, count=len(names)
+        )
+        order, groups = _groups(codes)
+        outcomes = np.full(len(names), _REJECTED_UNKNOWN_TENANT, dtype=np.uint8)
+        for code, start, stop in groups:
+            rows = order[start:stop]
+            if code == unknown:
+                for name, count in Counter(map(names.__getitem__, rows.tolist())).items():
+                    self.tracker.record_offers(name, count, 0)
+                continue
+            name = registered[code]
+            decided = self.gateway._admit(name, arrivals[rows].tolist(), bins[rows].tolist())
+            outcomes[rows] = np.frombuffer(decided, dtype=np.uint8)
+            self.tracker.record_offers(name, len(decided), decided.count(_ADMITTED))
+        return outcomes
 
     # ------------------------------------------------------------------ #
     # Tracing seams (only reached when ``self._trace`` is set)
@@ -362,6 +526,9 @@ class ServingLoop:
     def _admit_to_batcher(self, admitted: ServingRequest, now: float) -> List[Batch]:
         """Hand one drained admission to the batcher, crossing the trace seam.
 
+        Only the traced walk goes through here; untraced, the walk calls
+        :meth:`Batcher.add` directly.
+
         Args:
             admitted: the request the gateway just drained.
             now: the monotone ingest clock.
@@ -369,16 +536,15 @@ class ServingLoop:
         Returns:
             Batches the add caused to flush (the batcher's return value).
         """
-        if self._trace:
-            gate = self._gateway_spans.pop(admitted.request_id, None)
-            if gate is not None:
-                gate.end(now)
-            self._batch_wait_spans[admitted.request_id] = self.tracer.start_span(
-                "request.batch_wait",
-                now,
-                admitted.request_id,
-                parent=self._request_roots.get(admitted.request_id),
-            )
+        gate = self._gateway_spans.pop(admitted.request_id, None)
+        if gate is not None:
+            gate.end(now)
+        self._batch_wait_spans[admitted.request_id] = self.tracer.start_span(
+            "request.batch_wait",
+            now,
+            admitted.request_id,
+            parent=self._request_roots.get(admitted.request_id),
+        )
         return self.batcher.add(admitted, now)
 
     def _trace_flushes(self, batches: Sequence[Batch]) -> None:
@@ -388,6 +554,21 @@ class ServingLoop:
                 span = self._batch_wait_spans.pop(member.request_id, None)
                 if span is not None:
                     span.end(batch.flushed_s, batch_id=batch.batch_id)
+
+    def _trace_completions(self, done, completed, hits, misses) -> None:
+        """Close every completed member's root span at its task's finish."""
+        outcomes = zip(hits.tolist(), misses.tolist())
+        for task, batch in zip(completed, done):
+            for member, (hit, miss) in zip(batch.requests, outcomes):
+                root = self._request_roots.pop(member.request_id, None)
+                if root is not None:
+                    root.annotate("terminal", True)
+                    root.end(
+                        task.finish_s,
+                        verdict="completed",
+                        task_id=task.task_id,
+                        deadline_met=True if hit else False if miss else None,
+                    )
 
     def _to_task_requests(self, batches: Sequence[Batch]) -> List[TaskRequest]:
         tasks: List[TaskRequest] = []
@@ -448,8 +629,7 @@ class ServingLoop:
         with self.profiler.phase("simulate") if self._profile else NULL_PHASE:
             simulation = simulator.run(tasks)
 
-        arrivals_end = max((r.arrival_s for r in requests), default=0.0)
-        horizon = max(arrivals_end, simulation.makespan_s)
+        horizon = max(self._arrivals_end_s, simulation.makespan_s)
         with self.profiler.phase("rollup") if self._profile else NULL_PHASE:
             return self._rollup(
                 simulation, by_task_id, batches, horizon, cache, cache_baseline
@@ -458,41 +638,43 @@ class ServingLoop:
     def _rollup(
         self, simulation, by_task_id, batches, horizon, cache, cache_baseline
     ) -> ServingReport:
-        """Map completions back to members and assemble the report."""
-        latencies: List[float] = []
-        completions: List[float] = []
-        completed_requests = 0
-        record_completion = self.tracker.record_completion
-        trace = self._trace
-        for task in simulation.completed:
-            batch = by_task_id[task.task_id]
-            finish_s = task.finish_s
-            energy_per_member = task.energy_j / batch.size
-            for member in batch.requests:
-                latency = finish_s - member.arrival_s
-                if latency < 0.0:
-                    latency = 0.0
-                deadline_met = (
-                    finish_s <= member.deadline_s
-                    if member.deadline_s is not None
-                    else None
-                )
-                record_completion(
-                    member.tenant, latency, energy_per_member, deadline_met
-                )
-                if trace:
-                    root = self._request_roots.pop(member.request_id, None)
-                    if root is not None:
-                        root.annotate("terminal", True)
-                        root.end(
-                            task.finish_s,
-                            verdict="completed",
-                            task_id=task.task_id,
-                            deadline_met=deadline_met,
-                        )
-                latencies.append(latency)
-                completions.append(finish_s)
-                completed_requests += 1
+        """Map completions back to members and assemble the report.
+
+        Each completed task's finish time and per-member energy are
+        gathered onto its members (in completion order, members in batch
+        order); latency is ``finish - arrival`` clipped at 0 and deadline
+        hits are one vector compare.  Each tenant's entries then go to the
+        tracker in one call.
+        """
+        completed = simulation.completed
+        done = list(map(by_task_id.__getitem__, map(_TASK_ID, completed)))
+        tenants = [tenant.name for tenant in self.gateway.tenants]
+        # Only registered tenants' requests are admitted, so only they complete.
+        sizes, latencies, hits, misses, (order, groups) = _member_outcomes(
+            done, completed, {name: code for code, name in enumerate(tenants)}
+        )
+        # Members share their task's finish-time float and the tracker
+        # shares the report's latency floats: peak memory stays at one
+        # float object per completed member.
+        completions = list(
+            chain.from_iterable(map(repeat, map(_FINISH, completed), sizes.tolist()))
+        )
+        energy = np.repeat(
+            np.fromiter(map(_ENERGY, completed), dtype=float, count=len(done)) / sizes, sizes
+        )
+        for code, start, stop in groups:
+            rows = order[start:stop]
+            self.tracker.record_completions(
+                tenants[code],
+                # Indexing with the array's own scalars builds no list of
+                # row ints: the tracker shares the report's float objects.
+                list(map(latencies.__getitem__, rows)),
+                energy[rows],
+                deadline_hits=int(np.count_nonzero(hits[rows])),
+                deadline_misses=int(np.count_nonzero(misses[rows])),
+            )
+        if self._trace:
+            self._trace_completions(done, completed, hits, misses)
         dropped = 0
         for task_id in simulation.unplaced:
             batch = by_task_id[task_id]
@@ -528,7 +710,7 @@ class ServingLoop:
             batches=len(batches),
             offered=sum(r.offered for r in tenant_reports.values()),
             admitted=sum(r.admitted for r in tenant_reports.values()),
-            completed=completed_requests,
+            completed=len(latencies),
             dropped=dropped,
             latencies_s=latencies,
             completions_s=completions,

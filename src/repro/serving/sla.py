@@ -144,12 +144,22 @@ class SlaTracker:
         self._slos[tenant] = slo_s
 
     def record_offered(self, tenant: str, admitted: bool) -> None:
+        self.record_offers(tenant, 1, 1 if admitted else 0)
+
+    def record_offers(self, tenant: str, offered: int, admitted: int) -> None:
+        """Count ``offered`` offers, ``admitted`` of them admitted.
+
+        Args:
+            tenant: the tenant offered to (registered or not).
+            offered: offers to count.
+            admitted: how many of them were admitted; the rest were rejected.
+        """
+        if not 0 <= admitted <= offered:
+            raise ValueError("admitted offers must be between 0 and the offers")
         acc = self._acc(tenant)
-        acc.offered += 1
-        if admitted:
-            acc.admitted += 1
-        else:
-            acc.rejected += 1
+        acc.offered += offered
+        acc.admitted += admitted
+        acc.rejected += offered - admitted
 
     def record_completion(
         self,
@@ -158,15 +168,45 @@ class SlaTracker:
         energy_j: float,
         deadline_met: Optional[bool] = None,
     ) -> None:
-        if latency_s < 0:
+        self.record_completions(
+            tenant,
+            (latency_s,),
+            (energy_j,),
+            deadline_hits=1 if deadline_met is True else 0,
+            deadline_misses=1 if deadline_met is False else 0,
+        )
+
+    def record_completions(
+        self,
+        tenant: str,
+        latencies_s: Sequence[float],
+        energies_j: Sequence[float],
+        deadline_hits: int = 0,
+        deadline_misses: int = 0,
+    ) -> None:
+        """Record a run of completed requests, in completion order.
+
+        Energy accumulates left to right (a cumulative sum, not numpy's
+        pairwise ``sum``), so the total equals that of one
+        :meth:`record_completion` per request bit for bit.
+
+        Args:
+            tenant: the tenant the requests belong to.
+            latencies_s: per-request latency (Python floats), each
+                non-negative.
+            energies_j: per-request energy, aligned with ``latencies_s``.
+            deadline_hits: how many of the requests met their deadline.
+            deadline_misses: how many missed theirs (the rest had none).
+        """
+        if any(map((0.0).__gt__, latencies_s)):
             raise ValueError("latency must be non-negative")
         acc = self._acc(tenant)
-        acc.latencies_s.append(latency_s)
-        acc.energy_j += energy_j
-        if deadline_met is True:
-            acc.deadline_hits += 1
-        elif deadline_met is False:
-            acc.deadline_misses += 1
+        acc.latencies_s.extend(latencies_s)
+        if len(energies_j):
+            running = np.cumsum(np.concatenate(([acc.energy_j], energies_j)))
+            acc.energy_j = float(running[-1])
+        acc.deadline_hits += deadline_hits
+        acc.deadline_misses += deadline_misses
 
     def record_dropped(self, tenant: str, count: int = 1) -> None:
         """Requests admitted but never completed (batch unplaceable)."""

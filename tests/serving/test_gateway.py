@@ -6,6 +6,7 @@ import pytest
 
 from repro.hardware.microserver import WorkloadKind
 from repro.serving.gateway import (
+    _ADMISSION_OUTCOMES,
     AdmissionDecision,
     RequestGateway,
     ServingRequest,
@@ -215,3 +216,69 @@ class TestGatewayMetrics:
         assert snapshot.gauges["gateway.queue_depth"] == 2.0
         gateway.drain()
         assert registry.snapshot().gauges["gateway.queue_depth"] == 0.0
+
+
+class TestBulkAdmission:
+    """The per-tenant pass over a column equals one ``offer`` per request."""
+
+    TENANT = Tenant(name="a", rate_limit_rps=4.0, burst=4, max_queue_depth=2)
+    #: (arrival, drain period); the queue drains when the period changes.
+    OFFERS = [(0.0, 0), (0.0, 0), (0.0, 0), (0.1, 0), (1.0, 1), (1.0, 1),
+              (1.05, 1), (1.1, 2), (1.1, 2), (1.1, 2), (1.15, 3), (3.0, 4),
+              (9.0, 5)]
+
+    def test_admit_matches_one_token_bucket_call_per_offer(self):
+        bucket = TokenBucket(self.TENANT.rate_limit_rps, self.TENANT.burst)
+        expected = []
+        depth = period = 0
+        for arrival, offer_period in self.OFFERS:
+            if offer_period != period:
+                depth, period = 0, offer_period  # the caller drained the queue
+            if depth >= self.TENANT.max_queue_depth:
+                expected.append(AdmissionDecision.REJECTED_QUEUE_FULL)
+            elif bucket.try_consume(arrival):
+                expected.append(AdmissionDecision.ADMITTED)
+                depth += 1
+            else:
+                expected.append(AdmissionDecision.REJECTED_RATE_LIMIT)
+        gateway = RequestGateway([self.TENANT])
+        outcomes = gateway._admit(
+            "a", [arrival for arrival, _ in self.OFFERS], [p for _, p in self.OFFERS]
+        )
+        assert [_ADMISSION_OUTCOMES[code] for code in outcomes] == expected
+        assert AdmissionDecision.REJECTED_QUEUE_FULL in expected
+        assert AdmissionDecision.REJECTED_RATE_LIMIT in expected
+        stats = gateway.stats("a")
+        assert (stats.offered, stats.admitted, stats.rejected_queue_full,
+                stats.rejected_rate_limit) == (
+            len(expected),
+            expected.count(AdmissionDecision.ADMITTED),
+            expected.count(AdmissionDecision.REJECTED_QUEUE_FULL),
+            expected.count(AdmissionDecision.REJECTED_RATE_LIMIT),
+        )
+        assert vars(gateway._buckets["a"]) == vars(bucket)
+        # Deciding queues nothing; _enqueue hands the admitted over.
+        assert gateway.queued_count == 0
+
+    def test_admit_counts_what_is_already_queued(self):
+        gateway = RequestGateway([self.TENANT])
+        assert gateway.offer(make_request("r0", "a", 0.0)).admitted
+        # One already queued against a depth of 2: room for one more.
+        outcomes = gateway._admit("a", [0.0, 0.0], [0, 0])
+        assert [_ADMISSION_OUTCOMES[code] for code in outcomes] == [
+            AdmissionDecision.ADMITTED,
+            AdmissionDecision.REJECTED_QUEUE_FULL,
+        ]
+        with pytest.raises(ValueError, match="backwards"):
+            gateway._admit("a", [-1.0], [0])
+        with pytest.raises(KeyError):
+            gateway._admit("nobody", [0.0], [0])
+
+    def test_enqueue_then_drain_round_robins(self):
+        gateway = RequestGateway([Tenant(name="a"), Tenant(name="b")])
+        gateway._enqueue([make_request("a0", "a"), make_request("a1", "a"),
+                          make_request("b0", "b")])
+        assert gateway.queued_count == 3
+        assert [r.request_id for r in gateway.drain(limit=2)] == ["a0", "b0"]
+        assert [r.request_id for r in gateway.drain()] == ["a1"]
+        assert gateway.drain(limit=-1) == [] and gateway.queued_count == 0

@@ -334,3 +334,57 @@ class TestServingLoop:
         )
         with pytest.raises(ValueError):
             ServingWorkload(tenants=(tenant,), requests=tuple(stray))
+
+
+class TestBulkTrackerEntries:
+    """The bulk entries are the per-call ones' single implementation."""
+
+    LATENCIES = [0.1, 2.5, 0.30000000000000004, 7.25, 0.0, 1e-9, 3.3]
+    #: magnitudes far apart, so a pairwise sum would round differently.
+    ENERGIES = [1e16, 1.0, -1e16, 3.7, 0.1, 0.2, 1e-3]
+    MET = [True, None, False, False, True, None, True]
+
+    def test_record_completions_equals_a_loop_of_record_completion(self):
+        one, bulk = SlaTracker(), SlaTracker()
+        for latency, energy, met in zip(self.LATENCIES, self.ENERGIES, self.MET):
+            one.record_completion("acme", latency, energy, met)
+        bulk.record_completions(
+            "acme",
+            self.LATENCIES[:3],
+            self.ENERGIES[:3],
+            deadline_hits=self.MET[:3].count(True),
+            deadline_misses=self.MET[:3].count(False),
+        )
+        bulk.record_completions(
+            "acme",
+            self.LATENCIES[3:],
+            self.ENERGIES[3:],
+            deadline_hits=self.MET[3:].count(True),
+            deadline_misses=self.MET[3:].count(False),
+        )
+        assert vars(bulk._tenants["acme"]) == vars(one._tenants["acme"])
+        assert bulk.report("acme", 10.0) == one.report("acme", 10.0)
+        # Left to right, not numpy's pairwise sum.
+        total = 0.0
+        for energy in self.ENERGIES:
+            total += energy
+        assert bulk.report("acme", 10.0).energy_j == total
+
+    def test_record_offers_equals_a_loop_of_record_offered(self):
+        one, bulk = SlaTracker(), SlaTracker()
+        for admitted in (True, False, False, True, True):
+            one.record_offered("acme", admitted)
+        bulk.record_offers("acme", 2, 1)
+        bulk.record_offers("acme", 3, 2)
+        bulk.record_offers("acme", 0, 0)
+        assert vars(bulk._tenants["acme"]) == vars(one._tenants["acme"])
+
+    def test_bulk_entries_reject_impossible_values(self):
+        tracker = SlaTracker()
+        with pytest.raises(ValueError):
+            tracker.record_offers("acme", 2, 3)
+        with pytest.raises(ValueError):
+            tracker.record_completions("acme", [1.0, -0.5], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            tracker.record_completion("acme", -1.0, 1.0)
+        assert tracker.report("acme", 1.0).completed == 0
