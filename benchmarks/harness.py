@@ -120,8 +120,7 @@ class BenchRun:
 
     Build one per ``test_bench_*`` test (the ``bench`` fixture does), call
     :meth:`metric` / :meth:`table` / :meth:`attach_counters` /
-    :meth:`attach_trace` / :meth:`attach_profile` as results land, then
-    :meth:`finish` writes the
+    :meth:`attach_trace` as results land, then :meth:`finish` writes the
     ``BENCH_<name>.json`` artefact and renders the text tables from it.
     """
 
@@ -139,7 +138,6 @@ class BenchRun:
         self.tables: List[Dict[str, Any]] = []
         self.counters: Optional[Dict[str, float]] = None
         self.trace: Optional[Dict[str, Any]] = None
-        self.profile: Optional[Dict[str, Any]] = None
 
     def metric(
         self,
@@ -217,21 +215,6 @@ class BenchRun:
             trace_summary.to_dict() if hasattr(trace_summary, "to_dict") else dict(trace_summary)
         )
 
-    def attach_profile(self, profile: Any) -> None:
-        """Attach a host-time phase breakdown to the artefact.
-
-        Args:
-            profile: a :meth:`~repro.telemetry.profile.PhaseProfiler.report`
-                dict (``{"phases": ..., "top_level_s": ...}``), or a
-                :class:`~repro.telemetry.profile.PhaseProfiler` itself
-                (its report is taken).  None is ignored.
-        """
-        if profile is None:
-            return
-        self.profile = (
-            profile.report() if hasattr(profile, "report") else dict(profile)
-        )
-
     def finish(
         self,
         bench_dir: Path = REPO_ROOT,
@@ -261,7 +244,6 @@ class BenchRun:
             "metrics": self.metrics,
             "counters": self.counters,
             "trace": self.trace,
-            "profile": self.profile,
             "tables": self.tables,
             "speedup_vs_baseline": None,
             "baseline_tier": None,

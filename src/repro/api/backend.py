@@ -28,7 +28,6 @@ from repro.serving.loop import ServingLoop, ServingReport, ServingWorkload
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.autoscale.controller import Autoscaler
     from repro.serving.batching import BatchPolicy
-    from repro.telemetry.profile import PhaseProfiler
     from repro.telemetry.registry import MetricsRegistry
     from repro.telemetry.trace import Tracer
 
@@ -50,7 +49,6 @@ class Backend:
         spec: DeploymentSpec,
         metrics: Optional["MetricsRegistry"] = None,
         tracer: Optional["Tracer"] = None,
-        profiler: Optional["PhaseProfiler"] = None,
     ) -> None:
         """Build the topology (one profiling campaign per cluster or shard).
 
@@ -63,14 +61,10 @@ class Backend:
             tracer: optional request-scoped tracer threaded into every
                 serving run and the controller's actuation events (None
                 or disabled costs nothing).
-            profiler: optional host-time phase profiler threaded into
-                every serving run, the router and the controller (None or
-                disabled costs nothing).
         """
         self.spec = spec
         self.metrics = metrics
         self.tracer = tracer
-        self.profiler = profiler
         #: backend shape name shown in snapshots.
         self.name = (
             "autoscaled"
@@ -112,10 +106,6 @@ class Backend:
             seed_policy=spec.topology.seed,
             cache_capacity=spec.scheduler.score_cache_capacity,
         )
-        if profiler is not None and profiler.enabled:
-            # The router records its routing phase directly; attached the
-            # same way the autoscaler attaches itself to the scheduler.
-            self.federation.scheduler.attach_profiler(profiler)
         if spec.autoscale.enabled:
             self.autoscaler = self._new_autoscaler()
 
@@ -126,7 +116,6 @@ class Backend:
             self.federation,
             config=self.spec.autoscale.to_config(),
             tracer=self.tracer,
-            profiler=self.profiler,
         )
 
     def serve(
@@ -182,7 +171,6 @@ class Backend:
             flush_tick_s=self.spec.serving.flush_tick_s,
             metrics=self.metrics,
             tracer=self.tracer,
-            profiler=self.profiler,
         )
         return loop.run(workload.requests)
 

@@ -21,7 +21,6 @@ from repro.api.spec import DeploymentSpec
 from repro.scheduler.modeling import profiling_run_count
 from repro.serving.loop import ServingReport, ServingWorkload
 from repro.serving.sla import percentile
-from repro.telemetry.profile import PhaseProfiler
 from repro.telemetry.registry import MetricsRegistry, MetricsSnapshot
 from repro.telemetry.trace import Tracer
 
@@ -102,9 +101,6 @@ class Deployment:
         #: the session's tracer; disabled (a no-op) unless the spec sets
         #: ``telemetry.tracing``.
         self.tracer: Tracer = backend.tracer or Tracer.disabled()
-        #: the session's host-time phase profiler; disabled (a no-op)
-        #: unless the spec sets ``telemetry.profiling``.
-        self.profiler: PhaseProfiler = backend.profiler or PhaseProfiler.disabled()
         self._serve_runs = metrics.counter(SERVE_RUNS_METRIC)
         self._profilings = metrics.counter(PROFILING_METRIC)
 
@@ -131,12 +127,10 @@ class Deployment:
         )
         before = profiling_run_count()
         tracer = Tracer(enabled=spec.telemetry.tracing)
-        profiler = PhaseProfiler(enabled=spec.telemetry.profiling)
         backend = Backend(
             spec,
             metrics if spec.telemetry.enabled else None,
             tracer=tracer if spec.telemetry.tracing else None,
-            profiler=profiler if spec.telemetry.profiling else None,
         )
         deployment = cls(spec, backend, metrics, system=system)
         deployment._profilings.inc(profiling_run_count() - before)
@@ -357,15 +351,14 @@ class Deployment:
         Always carries the session counters
         (``deployment.serve_runs``, ``deployment.profiling_campaigns``);
         when the spec enables telemetry it additionally carries every
-        hot-path instrument (admission, batching, placement, routing);
-        when the spec enables profiling, ``metrics()["profile"]`` holds
-        the host-time phase breakdown accumulated so far.
+        hot-path instrument (admission, batching, placement, routing).
+        Host time is not measured here: ``benchmarks/e2e/run.py --trace 1``
+        times each layer from outside the program.
 
         Returns:
             The :class:`~repro.telemetry.registry.MetricsSnapshot`.
         """
-        profile = self.profiler.report() if self.profiler.enabled else None
-        return self._metrics.snapshot(profile=profile)
+        return self._metrics.snapshot()
 
     def snapshot(self) -> Dict[str, object]:
         """Current topology plus how the spec differs from the defaults.

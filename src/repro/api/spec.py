@@ -521,20 +521,14 @@ class TelemetrySpec:
             ``trace_summary()``.  Requires ``enabled`` (tracing rides the
             telemetry wiring); off by default so the serving hot path
             pays nothing.
-        profiling: attribute *host* wall-clock time to hot-path phases
-            (ingest, simulate/placement, simulate/advance, routing,
-            autoscale, rollup) through a per-deployment
-            :class:`~repro.telemetry.profile.PhaseProfiler`, surfaced
-            via ``Deployment.metrics()["profile"]``.  Independent of
-            ``enabled``: the profiler measures the Python hot path
-            itself and does not ride the metrics bus.  Off by default so
-            the unprofiled fast path is unchanged.
+
+    Host wall-clock time is not a spec option: ``benchmarks/e2e/run.py
+    --trace 1`` times each layer from outside the program.
     """
 
     enabled: bool = False
     histogram_window: int = 1024
     tracing: bool = False
-    profiling: bool = False
 
     def validate(self, path: str = "telemetry") -> List[SpecIssue]:
         """Collect every problem with this section.

@@ -31,7 +31,6 @@ from repro.autoscale.signals import FederationSignals, ShardSignals, collect_sig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.federation.federation import Federation
     from repro.scheduler.placement import Placement
-    from repro.telemetry.profile import PhaseProfiler
     from repro.telemetry.trace import Tracer
 
 
@@ -87,7 +86,6 @@ class Autoscaler:
         federation: "Federation",
         config: Optional[AutoscaleConfig] = None,
         tracer: Optional["Tracer"] = None,
-        profiler: Optional["PhaseProfiler"] = None,
     ) -> None:
         """Attach the controller to a federation.
 
@@ -100,9 +98,6 @@ class Autoscaler:
             tracer: optional request-scoped tracer; when enabled every
                 actuation is recorded as a zero-length
                 ``autoscale.<action>`` event span.
-            profiler: optional host-time phase profiler; when enabled
-                every control tick records an ``autoscale`` phase (nested
-                under the simulator's ``reschedule``).
         """
         if federation.metrics is None:
             raise ValueError(
@@ -127,9 +122,6 @@ class Autoscaler:
         self.decisions: List[ScalingDecision] = []
         self.tracer = tracer
         self._trace = tracer is not None and tracer.enabled
-        self.profiler = profiler
-        #: same cached-boolean discipline for the host-time profiler.
-        self._profile = profiler is not None and profiler.enabled
 
     def rebase_counters(self) -> None:
         """Adopt the bus's current totals as this controller's zero point.
@@ -183,13 +175,6 @@ class Autoscaler:
                 state is read from the O(1) capacity aggregates -- but part
                 of the hook contract).
         """
-        if self._profile:
-            with self.profiler.phase("autoscale"):
-                self._control(time_s, running)
-            return
-        self._control(time_s, running)
-
-    def _control(self, time_s: float, running: Sequence["Placement"]) -> None:
         self._integrate_node_seconds(time_s)
         self._finalize_drains(time_s)
         signals = collect_signals(

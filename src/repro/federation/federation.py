@@ -213,11 +213,6 @@ class FederatedScheduler:
         #: elastic control loop attached via Autoscaler; consulted at the
         #: top of every rescheduling pass when present.
         self.autoscaler = None
-        #: host-time phase profiler attached via
-        #: :meth:`attach_profiler`; the routing hot path records a
-        #: ``routing`` phase on it (cached-boolean guarded).
-        self.profiler = None
-        self._profile = False
         self.federation_stats = FederationStats()
         self._perf_weight_total = self.config.cpu_weight + self.config.memory_weight
         self._energy_weight_total = self.config.thermal_weight + self.config.price_weight
@@ -511,18 +506,6 @@ class FederatedScheduler:
     # ------------------------------------------------------------------ #
     # SchedulerProtocol: placement
     # ------------------------------------------------------------------ #
-    def attach_profiler(self, profiler) -> None:
-        """Attach a host-time phase profiler to the routing hot path.
-
-        Args:
-            profiler: a :class:`~repro.telemetry.profile.PhaseProfiler`;
-                when enabled, every ``place`` call records a ``routing``
-                phase (nested under whatever phase the simulator has
-                open).  Disabled or None detaches.
-        """
-        self.profiler = profiler
-        self._profile = profiler is not None and profiler.enabled
-
     def place(self, request: TaskRequest, cluster: Cluster, time_s: float) -> Optional[str]:
         """Pick a node for a request: shard first, then HEATS inside it.
 
@@ -536,12 +519,6 @@ class FederatedScheduler:
             The chosen node name, or None when no shard can host the
             request right now.
         """
-        if self._profile:
-            with self.profiler.phase("routing"):
-                return self._place(request, cluster, time_s)
-        return self._place(request, cluster, time_s)
-
-    def _place(self, request: TaskRequest, cluster: Cluster, time_s: float) -> Optional[str]:
         if self._m_place_calls is not None:
             self._m_place_calls.inc()
             if request.tenant is not None:

@@ -36,7 +36,6 @@ from repro.scheduler.cluster import Cluster, ClusterNode
 from repro.scheduler.monitoring import ClusterMonitor
 from repro.scheduler.placement import MigrationEvent, Placement, PlacementEngine
 from repro.scheduler.workload import TaskRequest
-from repro.telemetry.profile import NULL_PHASE, PhaseProfiler
 from repro.telemetry.trace import Span, Tracer
 
 
@@ -294,7 +293,6 @@ class ClusterSimulator:
         monitoring_period_s: float = 30.0,
         rescheduling_interval_s: Optional[float] = None,
         tracer: Optional["Tracer"] = None,
-        profiler: Optional["PhaseProfiler"] = None,
     ) -> None:
         """Wire a simulator over a cluster and a policy.
 
@@ -309,11 +307,6 @@ class ClusterSimulator:
                 records ``task`` / ``task.pending`` / ``task.execute`` /
                 ``task.migrate`` spans (annotated with node, shard and
                 retry-index requeue counts).  ``None`` costs nothing.
-            profiler: optional host-time phase profiler; when enabled the
-                event loop records ``vectorized_placement`` /
-                ``vectorized_advance`` / ``reschedule`` phases (nested
-                under whatever phase the caller has open).  ``None`` costs
-                nothing.
         """
         self.cluster = cluster
         self.scheduler = scheduler
@@ -321,9 +314,6 @@ class ClusterSimulator:
         #: cached boolean: every instrumentation site is one branch when
         #: tracing is off, preserving the hot-path numbers exactly.
         self._trace = tracer is not None and tracer.enabled
-        self.profiler = profiler
-        #: same cached-boolean discipline for the host-time profiler.
-        self._profile = profiler is not None and profiler.enabled
         #: federated schedulers expose ``shard_of_node``; a single-cluster
         #: policy has no shard notion, so spans are annotated with None.
         self._shard_lookup = getattr(scheduler, "shard_of_node", None)
@@ -526,7 +516,6 @@ class ClusterSimulator:
         events = self._events
         heappop = heapq.heappop
         monitoring_period = self.monitoring_period_s
-        profile = self._profile
         trace = self._trace
         arrival_kind = self._ARRIVAL
         completion_kind = self._COMPLETION
@@ -562,47 +551,27 @@ class ClusterSimulator:
                 request = payload  # type: ignore[assignment]
                 if trace:
                     self._trace_arrival(request)
-                # The disabled-profiler path calls the handler directly:
-                # no context-manager enter/exit per event on the hot loop.
-                if profile:
-                    with self.profiler.phase("vectorized_placement"):
-                        remaining -= self._admit(
-                            request, time_s, pending, result, elastic
-                        )
-                else:
-                    remaining -= self._admit(
-                        request, time_s, pending, result, elastic
-                    )
+                remaining -= self._admit(request, time_s, pending, result, elastic)
             elif kind == completion_kind:
                 task_id, version = payload  # type: ignore[misc]
                 placement = engine_get(task_id)
                 if placement is None or placement.completion_version != version:
                     continue  # stale completion superseded by a migration
-                if profile:
-                    with self.profiler.phase("vectorized_advance"):
-                        self._finish(placement, task_id, time_s, result)
-                    remaining -= 1
-                    # The freed node may unblock queued requests.
-                    if len(pending):
-                        with self.profiler.phase("vectorized_placement"):
-                            self._retry_pending(pending, time_s, result)
-                else:
-                    self._finish(placement, task_id, time_s, result)
-                    remaining -= 1
-                    if len(pending):
-                        self._retry_pending(pending, time_s, result)
+                self._finish(placement, task_id, time_s, result)
+                remaining -= 1
+                # The freed node may unblock queued requests.
+                if len(pending):
+                    self._retry_pending(pending, time_s, result)
             elif kind == self._RESCHEDULE:
                 topology_before = self.cluster.membership_version
-                with self.profiler.phase("reschedule") if self._profile else NULL_PHASE:
-                    self._apply_rescheduling(time_s)
+                self._apply_rescheduling(time_s)
                 topology_changed = topology_before != self.cluster.membership_version
                 if topology_changed:
                     # Nodes grown by an autoscaler must be able to unblock
                     # queued requests *now*, not at the next unrelated
                     # completion (and requests no node could ever host may
                     # have just become feasible).
-                    with self.profiler.phase("vectorized_placement") if self._profile else NULL_PHASE:
-                        self._retry_pending(pending, time_s, result, full=True)
+                    self._retry_pending(pending, time_s, result, full=True)
                     idle_power = self.cluster.total_idle_power_w()
                     if idle_power != idle_power_levels[-1][1]:
                         idle_power_levels.append((time_s, idle_power))

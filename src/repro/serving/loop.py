@@ -46,7 +46,6 @@ from repro.serving.gateway import (
     Tenant,
 )
 from repro.serving.sla import SlaTracker, TenantSlaReport, percentiles
-from repro.telemetry.profile import NULL_PHASE, PhaseProfiler
 from repro.telemetry.trace import Span, Tracer, TraceSummary, summarize_trace
 
 #: replay order of a request stream: arrival, ties by request id.
@@ -343,7 +342,6 @@ class ServingLoop:
         flush_tick_s: float = 0.5,
         metrics: Optional["MetricsRegistry"] = None,
         tracer: Optional[Tracer] = None,
-        profiler: Optional[PhaseProfiler] = None,
     ) -> None:
         if flush_tick_s <= 0:
             raise ValueError("flush tick must be positive")
@@ -357,9 +355,6 @@ class ServingLoop:
         #: single cached boolean so every hot-path instrumentation site is
         #: one branch when tracing is off (pay-for-what-you-use).
         self._trace = tracer is not None and tracer.enabled
-        self.profiler = profiler
-        #: same cached-boolean discipline for the host-time profiler.
-        self._profile = profiler is not None and profiler.enabled
         # Open spans keyed by request id, closed as requests cross seams.
         self._request_roots: Dict[str, Span] = {}
         self._gateway_spans: Dict[str, Span] = {}
@@ -609,31 +604,23 @@ class ServingLoop:
         )
         for tenant in self.gateway.tenants:
             self.tracker.set_latency_slo(tenant.name, tenant.latency_slo_s)
-        with self.profiler.phase("ingest") if self._profile else NULL_PHASE:
-            batches = self._ingest(requests)
-            if self._trace:
-                self._trace_flushes(batches)
-            by_task_id: Dict[str, Batch] = {
-                batch.batch_id: batch for batch in batches
-            }
-            tasks = self._to_task_requests(batches)
+        batches = self._ingest(requests)
+        if self._trace:
+            self._trace_flushes(batches)
+        by_task_id: Dict[str, Batch] = {batch.batch_id: batch for batch in batches}
+        tasks = self._to_task_requests(batches)
 
         simulator = ClusterSimulator(
             self.cluster,
             self.scheduler,
             tracer=self.tracer if self._trace else None,
-            profiler=self.profiler if self._profile else None,
         )
-        # Placement/advance/reschedule record nested under "simulate", so
-        # the top-level phases (ingest/simulate/rollup) partition the run.
-        with self.profiler.phase("simulate") if self._profile else NULL_PHASE:
-            simulation = simulator.run(tasks)
+        simulation = simulator.run(tasks)
 
         horizon = max(self._arrivals_end_s, simulation.makespan_s)
-        with self.profiler.phase("rollup") if self._profile else NULL_PHASE:
-            return self._rollup(
-                simulation, by_task_id, batches, horizon, cache, cache_baseline
-            )
+        return self._rollup(
+            simulation, by_task_id, batches, horizon, cache, cache_baseline
+        )
 
     def _rollup(
         self, simulation, by_task_id, batches, horizon, cache, cache_baseline

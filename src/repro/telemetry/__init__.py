@@ -18,8 +18,6 @@ recording side down:
 * :mod:`repro.telemetry.trace`    -- request-scoped spans on the simulated
   clock: per-deployment :class:`Tracer` with a no-op mode, stage
   summaries with critical-path attribution via :func:`summarize_trace`.
-* :mod:`repro.telemetry.profile`  -- the host-time :class:`PhaseProfiler`:
-  wall-clock phase breakdowns of the serving/scheduling hot path itself.
 * :mod:`repro.telemetry.console`  -- the live deployment console: per-shard
   tiles over ``serve_iter()`` ticks rendered as ANSI blocks or a
   self-contained HTML snapshot.
@@ -46,7 +44,6 @@ from repro.telemetry.trace import (
     TraceSummary,
     summarize_trace,
 )
-from repro.telemetry.profile import PhaseProfiler
 from repro.telemetry.console import (
     ConsoleFrame,
     LiveConsole,
@@ -68,7 +65,6 @@ __all__ = [
     "LiveConsole",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "PhaseProfiler",
     "RingBuffer",
     "ShardTile",
     "Span",

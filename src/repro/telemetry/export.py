@@ -142,7 +142,7 @@ class JsonlExporter:
 
         Args:
             snapshot: the snapshot to serialise (counters, gauges,
-                histogram rollups, and the profile section when present).
+                histogram rollups).
         """
         record = {
             "counters": dict(snapshot.counters),
@@ -159,8 +159,6 @@ class JsonlExporter:
                 for name, h in snapshot.histograms.items()
             },
         }
-        if snapshot.profile is not None:
-            record["profile"] = snapshot.profile
         self.write(record)
 
     def write(self, record: Mapping[str, object]) -> None:

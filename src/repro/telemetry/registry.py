@@ -40,25 +40,6 @@ class MetricsSnapshot:
     counters: Mapping[str, float]
     gauges: Mapping[str, float]
     histograms: Mapping[str, HistogramSnapshot]
-    #: host-time phase breakdown (:meth:`PhaseProfiler.report`) when the
-    #: deployment was built with ``TelemetrySpec(profiling=True)``.
-    profile: Optional[Mapping[str, object]] = None
-
-    def __getitem__(self, key: str):
-        """Section access by name: ``snapshot["profile"]`` and friends.
-
-        Args:
-            key: one of ``"counters"``, ``"gauges"``, ``"histograms"``,
-                ``"profile"``.
-
-        Returns:
-            The named section (``profile`` is None unless profiling was
-            enabled on the deployment).
-        """
-        if key in ("counters", "gauges", "histograms", "profile"):
-            return getattr(self, key)
-        raise KeyError(key)
-
     def counter(self, name: str, default: float = 0.0) -> float:
         """A counter's total at snapshot time.
 
@@ -187,14 +168,8 @@ class MetricsRegistry:
         """
         return {name: counter.value for name, counter in self._counters.items()}
 
-    def snapshot(self, profile: Optional[Mapping[str, object]] = None) -> MetricsSnapshot:
+    def snapshot(self) -> MetricsSnapshot:
         """Render every instrument into an immutable point-in-time view.
-
-        Args:
-            profile: optional host-time phase breakdown
-                (:meth:`~repro.telemetry.profile.PhaseProfiler.report`)
-                to embed, so deployments can surface profiling next to
-                the metric sections.
 
         Returns:
             The :class:`MetricsSnapshot` (histograms carry their windowed
@@ -215,5 +190,4 @@ class MetricsRegistry:
             counters={name: c.value for name, c in self._counters.items()},
             gauges={name: g.value for name, g in self._gauges.items()},
             histograms=histograms,
-            profile=profile,
         )

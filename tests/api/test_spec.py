@@ -271,38 +271,51 @@ class TestSerializedRoundTrips:
         assert parsed["topology"]["seed"]["base"] == 7
 
 
-class TestRetiredFastPath:
-    """``serving.fast_path`` was removed in 1.6: an old spec fails loudly."""
+#: spec fields removed from the API, with a value an old spec carried:
+#: ``serving.fast_path`` went in 1.6, ``telemetry.profiling`` in 1.7.
+RETIRED_FIELDS = [
+    ("serving", "fast_path", False),
+    ("telemetry", "profiling", True),
+]
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    RETIRED_FIELDS,
+    ids=[f"{section}.{field}" for section, field, _ in RETIRED_FIELDS],
+)
+class TestRetiredFields:
+    """A spec naming a removed field fails loudly as an unknown field."""
 
     @staticmethod
-    def _old_spec_dict():
+    def _old_spec_dict(section, field, value):
         data = DeploymentSpec().to_dict()
-        data["serving"]["fast_path"] = False
+        data[section][field] = value
         return data
 
     @staticmethod
-    def _assert_rejected(excinfo):
+    def _assert_rejected(excinfo, section, field):
         issues = [(issue.path, issue.message) for issue in excinfo.value.issues]
-        assert issues == [("serving.fast_path", "unknown field")]
+        assert issues == [(f"{section}.{field}", "unknown field")]
 
-    def test_from_dict_rejects_fast_path(self):
+    def test_from_dict_rejects_field(self, section, field, value):
         with pytest.raises(SpecValidationError) as excinfo:
-            DeploymentSpec.from_dict({"serving": {"fast_path": False}})
-        self._assert_rejected(excinfo)
+            DeploymentSpec.from_dict({section: {field: value}})
+        self._assert_rejected(excinfo, section, field)
 
-    def test_json_round_trip_rejects_fast_path(self):
+    def test_json_round_trip_rejects_field(self, section, field, value):
         with pytest.raises(SpecValidationError) as excinfo:
-            DeploymentSpec.from_json(dumps_json(self._old_spec_dict()))
-        self._assert_rejected(excinfo)
+            DeploymentSpec.from_json(dumps_json(self._old_spec_dict(section, field, value)))
+        self._assert_rejected(excinfo, section, field)
 
-    def test_toml_round_trip_rejects_fast_path(self):
+    def test_toml_round_trip_rejects_field(self, section, field, value):
         if tomllib is None:
             pytest.skip("tomllib needs Python >= 3.11")
-        document = dumps_toml(self._old_spec_dict())
-        assert "fast_path = false" in document
+        document = dumps_toml(self._old_spec_dict(section, field, value))
+        assert f"{field} = {str(value).lower()}" in document
         with pytest.raises(SpecValidationError) as excinfo:
             DeploymentSpec.from_toml(document)
-        self._assert_rejected(excinfo)
+        self._assert_rejected(excinfo, section, field)
 
 
 class TestDiff:

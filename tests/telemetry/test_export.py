@@ -38,21 +38,6 @@ class TestJsonlExporter:
         assert exporter.lines[0] == exporter.lines[1]
         assert exporter.lines[0].index('"a"') < exporter.lines[0].index('"b"')
 
-    def test_profile_section_round_trips(self):
-        registry = MetricsRegistry()
-        snapshot = registry.snapshot(
-            profile={"phases": {"ingest": {"calls": 1}}, "top_level_s": 0.5}
-        )
-        exporter = JsonlExporter()
-        exporter.export(snapshot)
-        record = json.loads(exporter.lines[0])
-        assert record["profile"]["top_level_s"] == 0.5
-
-    def test_snapshot_without_profile_omits_the_key(self):
-        exporter = JsonlExporter()
-        exporter.export(_snapshot())
-        assert "profile" not in json.loads(exporter.lines[0])
-
     def test_capacity_bounds_the_buffer(self):
         exporter = JsonlExporter(capacity=2)
         for i in range(5):

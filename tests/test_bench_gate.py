@@ -187,34 +187,6 @@ class TestArtefacts:
         harness.render_tables(payload, results_dir=results_dir)
         assert (results_dir / "demo.txt").read_text().startswith("Renamed\n")
 
-    def test_attach_profile_lands_in_payload(self, dirs):
-        bench_dir, baselines_dir, results_dir = dirs
-        run = harness.BenchRun("demo", tier="smoke")
-        run.metric("ops_per_sec", 1.0, tolerance=0.05)
-        report = {
-            "phases": {"ingest": {"calls": 1, "total_s": 0.5, "self_s": 0.5}},
-            "top_level_s": 0.5,
-        }
-        run.attach_profile(report)
-        payload = run.finish(bench_dir=bench_dir, quiet=True, results_dir=results_dir)
-        assert payload["profile"]["top_level_s"] == 0.5
-        on_disk = json.loads((bench_dir / "BENCH_demo.json").read_text())
-        assert on_disk["profile"]["phases"]["ingest"]["calls"] == 1
-
-    def test_attach_profile_accepts_profiler_and_none(self, dirs):
-        bench_dir, baselines_dir, results_dir = dirs
-
-        class FakeProfiler:
-            def report(self):
-                return {"phases": {}, "top_level_s": 0.0}
-
-        run = harness.BenchRun("demo", tier="smoke")
-        run.metric("ops_per_sec", 1.0, tolerance=0.05)
-        run.attach_profile(FakeProfiler())
-        assert run.profile == {"phases": {}, "top_level_s": 0.0}
-        run.attach_profile(None)  # ignored, keeps the previous attachment
-        assert run.profile is not None
-
     def test_metric_rejects_unknown_direction(self):
         run = harness.BenchRun("demo")
         with pytest.raises(ValueError, match="direction"):

@@ -37,7 +37,6 @@ SUBPACKAGES = [
     "repro.serving",
     "repro.telemetry",
     "repro.telemetry.console",
-    "repro.telemetry.profile",
     "repro.telemetry.trace",
     "repro.undervolting",
     "repro.usecases",

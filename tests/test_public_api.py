@@ -33,7 +33,6 @@ SUBPACKAGES = [
     "repro.serving",
     "repro.telemetry",
     "repro.telemetry.console",
-    "repro.telemetry.profile",
     "repro.telemetry.trace",
     "repro.undervolting",
     "repro.usecases",
