@@ -13,17 +13,18 @@ to the member requests to produce per-tenant SLA telemetry.
 
 The front half is columnar: the stream becomes arrival, tick-bin and
 tenant columns once per run, every admission is decided in one pass per
-tenant, and only the admitted requests walk the tick grid into the
-batcher.  The rollup gathers each completed task's finish time and energy
-onto its members in bulk.
+tenant, and the admitted rows are batched in one batcher pass from their
+add instants and drain order.  Tasks come from per-batch reductions, and
+the rollup gathers each completed task's finish time and energy, and its
+members' arrivals, deadlines and tenants, by member row.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import attrgetter, is_not
+from itertools import chain, compress, repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 from repro.scheduler.cluster import Cluster
 from repro.scheduler.simulation import ClusterSimulator, SchedulerProtocol, SimulationResult
 from repro.scheduler.workload import TaskRequest
-from repro.serving.batching import Batch, Batcher, BatchPolicy
+from repro.serving.batching import Batch, Batcher, BatchPolicy, _member_rows, _Rows
 from repro.serving.cache import CacheStats
 from repro.serving.gateway import (
     _ADMISSION_OUTCOMES,
@@ -48,12 +49,8 @@ from repro.serving.gateway import (
 from repro.serving.sla import SlaTracker, TenantSlaReport, percentiles
 from repro.telemetry.trace import Span, Tracer, TraceSummary, summarize_trace
 
-#: replay order of a request stream: arrival, ties by request id.
-_REPLAY_ORDER = attrgetter("arrival_s", "request_id")
 _ARRIVAL = attrgetter("arrival_s")
 _TENANT = attrgetter("tenant")
-_DEADLINE = attrgetter("deadline_s")
-_MEMBERS = attrgetter("requests")
 _FINISH = attrgetter("finish_s")
 _TASK_ID = attrgetter("task_id")
 _ENERGY = attrgetter("energy_j")
@@ -72,6 +69,32 @@ def _groups(codes: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
     starts = np.flatnonzero(np.diff(grouped, prepend=grouped[:1] - 1)).tolist()
     stops = starts[1:] + [len(order)]
     return order, list(zip(grouped[starts].tolist(), starts, stops))
+
+
+def _replay_order(
+    requests: Sequence[ServingRequest],
+) -> Tuple[List[ServingRequest], np.ndarray]:
+    """The stream in replay order (arrival, ties by request id) and its arrivals.
+
+    One stable argsort of the arrival column; only runs of equal arrivals
+    are sorted again, by request id.  No key object is built per request:
+    a key tuple per request also pushes the garbage collector into a full
+    collection on a large stream.
+    """
+    if not isinstance(requests, (list, tuple)):
+        requests = list(requests)
+    arrivals = np.fromiter(map(_ARRIVAL, requests), dtype=float, count=len(requests))
+    order = np.argsort(arrivals, kind="stable")
+    ordered = arrivals[order]
+    tied = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if len(tied):
+        for run in np.split(tied, np.flatnonzero(np.diff(tied) != 1) + 1):
+            rows = order[run[0]:run[-1] + 2].tolist()
+            rows.sort(key=lambda row: requests[row].request_id)
+            order[run[0]:run[-1] + 2] = rows
+        # Tied arrivals compare equal but may differ in sign (0.0, -0.0).
+        ordered = arrivals[order]
+    return list(map(requests.__getitem__, order.tolist())), ordered
 
 
 def _tick_bins(arrivals: np.ndarray, tick: float) -> np.ndarray:
@@ -100,44 +123,32 @@ def _tick_bins(arrivals: np.ndarray, tick: float) -> np.ndarray:
     return bins
 
 
-def _member_outcomes(
-    done: Sequence[Batch], completed: Sequence[object], tenant_codes: Dict[str, int]
-) -> Tuple[np.ndarray, List[float], np.ndarray, np.ndarray, Tuple[np.ndarray, list]]:
-    """Per member of each completed task, in completion order.
+def _last_tick(time_s: float, tick: float) -> int:
+    """The largest ``k`` with ``k * tick <= time_s`` (0 when there is none)."""
+    at = max(0, int(time_s / tick))
+    while (at + 1) * tick <= time_s:
+        at += 1
+    while at > 0 and at * tick > time_s:
+        at -= 1
+    return at
 
-    Args:
-        done: the completed tasks' batches.
-        completed: the completed tasks, aligned with ``done``.
-        tenant_codes: a code per tenant the members can belong to.
 
-    Returns:
-        Each task's member count; then per member the latency
-        (``finish - arrival`` clipped at 0, as Python floats), the
-        deadline-hit and deadline-miss masks (a member without a deadline
-        is in neither); and the members grouped by tenant code
-        (:func:`_groups`).
+def _drain_order(bins: np.ndarray, tenants: np.ndarray) -> np.ndarray:
+    """Admitted rows (in replay order) in the order they reach the batcher.
+
+    Each tick drains the admissions of the tick bin before it round-robin
+    across tenants in registration order: one per tenant per round, each
+    tenant's in arrival order.  So rows sort by bin, then by rank among
+    their tenant's admissions in the bin, then by tenant.
     """
-    per_task = list(map(_MEMBERS, done))
-    sizes = np.fromiter(map(len, per_task), dtype=np.int64, count=len(done))
-    members = list(chain.from_iterable(per_task))
-    count = len(members)
-    by_tenant = _groups(
-        np.fromiter(
-            map(tenant_codes.__getitem__, map(_TENANT, members)), dtype=np.int32, count=count
-        )
-    )
-    finish = np.repeat(np.fromiter(map(_FINISH, completed), dtype=float, count=len(done)), sizes)
-    deadlines = list(map(_DEADLINE, members))
-    has_deadline = np.fromiter(map(is_not, deadlines, repeat(None)), dtype=bool, count=count)
-    # A missing deadline converts to NaN, which no finish time is <=.
-    met = finish <= np.array(deadlines, dtype=float)
-    latency = np.fromiter(map(_ARRIVAL, members), dtype=float, count=count)
-    np.subtract(finish, latency, out=latency)
-    latency[latency < 0.0] = 0.0
-    # The latency floats outlive this call: drop the member-sized
-    # temporaries first, so they are not alive when the floats are made.
-    del per_task, members, finish, deadlines
-    return sizes, latency.tolist(), has_deadline & met, has_deadline & ~met, by_tenant
+    count = len(bins)
+    grouped = np.lexsort((tenants, bins))
+    fresh = np.ones(count, dtype=bool)
+    fresh[1:] = (np.diff(bins[grouped]) != 0) | (np.diff(tenants[grouped]) != 0)
+    index = np.arange(count)
+    rank = np.empty(count, dtype=np.int64)
+    rank[grouped] = index - np.maximum.accumulate(np.where(fresh, index, 0))
+    return np.lexsort((tenants, rank, bins))
 
 
 @dataclass(frozen=True)
@@ -361,124 +372,90 @@ class ServingLoop:
         self._batch_wait_spans: Dict[str, Span] = {}
         #: last arrival of the stream, set by ``_ingest``; the horizon's floor.
         self._arrivals_end_s = 0.0
+        #: the admitted rows in add order (tenant codes in registration
+        #: order), and per row its arrival; set by ``_ingest``.
+        self._rows = _Rows(())
+        self._row_arrivals = np.empty(0)
         self._consumed = False
 
     # ------------------------------------------------------------------ #
     # Front half: admission and batching
     # ------------------------------------------------------------------ #
     def _ingest(self, requests: Sequence[ServingRequest]) -> List[Batch]:
-        """Admit the stream, walk admissions through the batcher; returns batches.
+        """Admit the stream and batch the admissions; returns batches in flush order.
 
-        The stream is sorted once into arrival order and turned into
-        columns: arrival, tick bin (the tick index the walk stands on when
+        The stream is sorted once into replay order (:func:`_replay_order`)
+        and turned into columns: arrival, tick bin (the tick index the walk stands on when
         the request arrives) and tenant.  The gateway's queues drain into
         the batcher once per tick, not per offer, so a tenant's queue depth
         at an offer is the number of its admissions earlier in the same
-        tick bin.  That makes admission independent of the walk: it is
+        tick bin.  That makes admission independent of batching: it is
         decided up front, in one gateway pass per tenant, and a burst
         arriving within one tick still fills the bounded queues (queue-full
         backpressure can fire).
 
-        The walk is event-driven over the tick grid: ticks where nothing
-        can happen (no queued admissions, no batch stale or deadline-due
-        yet) are provably no-ops and are skipped wholesale, so the cost
-        scales with tick bins + admissions + flushes instead of the
-        horizon.  The drained tail and every flush are stamped on a
-        monotone clock (the batcher enforces it), never behind a member's
-        add time.  The clock is always ``index * tick`` (not repeated
-        addition), so skipping ahead lands exactly on the grid a naive full
-        scan would walk even when the tick is not exactly representable in
-        binary floating point.
+        Batching is one batcher pass over the admitted rows (in replay
+        order, each with its place in the drain order, :func:`_drain_order`).
+        A bin's admissions are added at the next tick, ``(bin + 1) * tick``,
+        before that tick's flush check; the last bin's are added at the
+        last arrival, after which the checks run on up to
+        ``end + max_delay + tick`` and every batch still open flushes at
+        the end of stream.  Every instant is ``index * tick`` (never
+        repeated addition), so the checks land exactly on the grid even
+        when the tick is not exactly representable in binary floating
+        point, and no flush is ever stamped behind a member's add.
+
+        Raises:
+            ValueError: if the gateway has queued requests or the batcher
+                has open batches (the replay starts from empty ones).
         """
+        if self.gateway.queued_count or self.batcher.open_batches:
+            raise ValueError(
+                "a serving loop replays its stream from empty gateway queues "
+                "and no open batches"
+            )
         tick = self.flush_tick_s
-        ordered = sorted(requests, key=_REPLAY_ORDER)
-        arrivals = np.fromiter(map(_ARRIVAL, ordered), dtype=float, count=len(ordered))
-        self._arrivals_end_s = ordered[-1].arrival_s if ordered else 0.0
+        ordered, arrivals = _replay_order(requests)
+        count = len(ordered)
+        end = self._arrivals_end_s = ordered[-1].arrival_s if ordered else 0.0
         bins = _tick_bins(arrivals, tick)
-        outcomes = self._admission_pass(ordered, arrivals, bins)
-
-        flushed: List[Batch] = []
-        #: tick counter; the clock is always ``index * tick`` so skipping
-        #: ahead lands exactly on the grid the legacy scan walked.
-        index = 0
-
-        def last_index_at(time_s: float) -> int:
-            """Largest tick index whose instant is <= ``time_s``."""
-            at = max(index, int(time_s / tick))
-            while (at + 1) * tick <= time_s:
-                at += 1
-            while at > index and at * tick > time_s:
-                at -= 1
-            return at
-
-        add = self._admit_to_batcher if self._trace else self.batcher.add
-
-        def hand_over(now: float) -> None:
-            """Drain the gateway queues into the batcher at ``now``."""
-            for admitted in self.gateway.drain():
-                full = add(admitted, now)
-                if full:
-                    flushed.extend(full)
-
-        def run_tick() -> None:
-            nonlocal index
-            index += 1
-            now = index * tick
-            hand_over(now)
-            flushed.extend(self.batcher.flush_ready(now))
-
-        def advance_to(time_s: float) -> None:
-            nonlocal index
-            while (index + 1) * tick <= time_s:
-                if self.gateway.queued_count == 0:
-                    due = self.batcher.next_flush_due_s()
-                    if due is None or due > time_s:
-                        # Every remaining tick up to the target is a no-op;
-                        # jump straight to the grid position the legacy
-                        # scan would have ended on.
-                        index = last_index_at(time_s)
-                        return
-                    if due > (index + 1) * tick:
-                        # Skip to just before the first tick that could
-                        # flush; flush_ready stays the authority at the
-                        # ticks from there on.
-                        index = max(index, last_index_at(due) - 1)
-                run_tick()
-
-        # One step per tick bin the stream touches: advance to the bin's
-        # first arrival (where the per-request walk crossed into it), then
-        # queue the bin's admissions for the next tick's drain.
-        bounds = np.flatnonzero(np.diff(bins, prepend=-1)).tolist() + [len(ordered)]
-        admitted_rows = np.flatnonzero(outcomes == _ADMITTED)
-        cuts = np.searchsorted(admitted_rows, bounds).tolist()
-        admitted = [ordered[row] for row in admitted_rows.tolist()]
-        for step in range(len(bounds) - 1):
-            arrival = ordered[bounds[step]].arrival_s
-            if (index + 1) * tick <= arrival:
-                advance_to(arrival)
-            if self._trace:
-                for row in range(bounds[step], bounds[step + 1]):
-                    self._trace_admission(ordered[row], _ADMISSION_OUTCOMES[outcomes[row]])
-            self.gateway._enqueue(admitted[cuts[step]:cuts[step + 1]])
-        end = self._arrivals_end_s
-        advance_to(end)
-        # Drain the post-last-arrival admissions on the monotone clock:
-        # the batcher stamps them at ``end`` (>= the last processed tick).
-        hand_over(end)
-        # Keep walking the grid past the last arrival so the tail still
-        # flushes through the deadline-/staleness-aware path rather than
-        # being stamped wholesale at end + max_delay.
-        advance_to(end + self.batcher.policy.max_delay_s + tick)
-        flushed.extend(self.batcher.flush_all(max(index * tick, end)))
-        return flushed
+        outcomes, tenants = self._admission_pass(ordered, arrivals, bins)
+        admitted = outcomes == _ADMITTED
+        requests = list(compress(ordered, admitted.tolist()))
+        admitted = np.flatnonzero(admitted)
+        drained = _drain_order(bins[admitted], tenants[admitted])
+        sequence = np.empty(len(admitted), dtype=np.int64)
+        sequence[drained] = np.arange(len(admitted))
+        positions = bins[admitted] + 1
+        adds_s = positions * tick
+        if count:
+            adds_s[positions == bins[-1] + 1] = end
+        if self._trace:
+            self._trace_front_half(
+                ordered, outcomes, bins, admitted[drained].tolist(), adds_s[drained].tolist()
+            )
+        del ordered, outcomes, bins, drained
+        self._rows = _Rows(
+            requests, tenants[admitted].astype(np.min_scalar_type(len(self.gateway.tenants)))
+        )
+        self._row_arrivals = arrivals[admitted]
+        del tenants, arrivals, admitted
+        last = _last_tick(end + self.batcher.policy.max_delay_s + tick, tick)
+        return self.batcher._batch(
+            self._rows, adds_s, positions, tick, last, max(last * tick, end), sequence
+        )
 
     def _admission_pass(
         self, ordered: Sequence[ServingRequest], arrivals: np.ndarray, bins: np.ndarray
-    ) -> np.ndarray:
-        """Decide every offer, one gateway pass per tenant; returns outcome codes.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Decide every offer, one gateway pass per tenant.
 
         Offers to unregistered tenants are rejected here: the tracker
         counts them as offered and rejected, the gateway never sees them.
+
+        Returns:
+            Per offer, its outcome code and its tenant's code (the
+            registration index; unregistered tenants share the next one).
         """
         names = list(map(_TENANT, ordered))
         registered = [tenant.name for tenant in self.gateway.tenants]
@@ -499,7 +476,7 @@ class ServingLoop:
             decided = self.gateway._admit(name, arrivals[rows].tolist(), bins[rows].tolist())
             outcomes[rows] = np.frombuffer(decided, dtype=np.uint8)
             self.tracker.record_offers(name, len(decided), decided.count(_ADMITTED))
-        return outcomes
+        return outcomes, codes
 
     # ------------------------------------------------------------------ #
     # Tracing seams (only reached when ``self._trace`` is set)
@@ -518,19 +495,36 @@ class ServingLoop:
             root.annotate("terminal", True)
             root.end(request.arrival_s, verdict=decision.value)
 
-    def _admit_to_batcher(self, admitted: ServingRequest, now: float) -> List[Batch]:
-        """Hand one drained admission to the batcher, crossing the trace seam.
+    def _trace_front_half(
+        self,
+        ordered: Sequence[ServingRequest],
+        outcomes: np.ndarray,
+        bins: np.ndarray,
+        added: List[int],
+        adds_s: List[float],
+    ) -> None:
+        """Open the front half's spans in the order a tick-by-tick walk opens them.
 
-        Only the traced walk goes through here; untraced, the walk calls
-        :meth:`Batcher.add` directly.
-
-        Args:
-            admitted: the request the gateway just drained.
-            now: the monotone ingest clock.
-
-        Returns:
-            Batches the add caused to flush (the batcher's return value).
+        Per tick bin the stream touches: first the hand-over of the
+        admissions of earlier bins (drained at the tick the walk crossed
+        into this bin), then this bin's admissions in arrival order; the
+        last bin's hand-over comes last.
         """
+        bounds = np.flatnonzero(np.diff(bins, prepend=-1)).tolist() + [len(ordered)]
+        bins = bins.tolist()
+        handed = 0
+        for step in range(len(bounds) - 1):
+            first = bounds[step]
+            while handed < len(added) and bins[added[handed]] < bins[first]:
+                self._trace_hand_over(ordered[added[handed]], adds_s[handed])
+                handed += 1
+            for row in range(first, bounds[step + 1]):
+                self._trace_admission(ordered[row], _ADMISSION_OUTCOMES[outcomes[row]])
+        for row, add_s in zip(added[handed:], adds_s[handed:]):
+            self._trace_hand_over(ordered[row], add_s)
+
+    def _trace_hand_over(self, admitted: ServingRequest, now: float) -> None:
+        """Close an admission's gateway span and open its batch-wait span at ``now``."""
         gate = self._gateway_spans.pop(admitted.request_id, None)
         if gate is not None:
             gate.end(now)
@@ -540,7 +534,6 @@ class ServingLoop:
             admitted.request_id,
             parent=self._request_roots.get(admitted.request_id),
         )
-        return self.batcher.add(admitted, now)
 
     def _trace_flushes(self, batches: Sequence[Batch]) -> None:
         """Close every member's batch-wait span at its batch's flush instant."""
@@ -566,13 +559,41 @@ class ServingLoop:
                     )
 
     def _to_task_requests(self, batches: Sequence[Batch]) -> List[TaskRequest]:
-        tasks: List[TaskRequest] = []
-        for batch in batches:
-            tenant = self.gateway.tenant(batch.requests[0].tenant)
-            assert batch.flushed_s is not None
-            tasks.append(batch.to_task_request(batch.flushed_s, tenant.energy_weight))
+        """One task per batch, in (arrival, task id) order: ids compare as strings."""
+        weights = {tenant.name: tenant.energy_weight for tenant in self.gateway.tenants}
+        tasks = [
+            batch.to_task_request(batch.flushed_s, weights[batch.key[0]]) for batch in batches
+        ]
         tasks.sort(key=lambda t: (t.arrival_s, t.task_id))
         return tasks
+
+    def _member_outcomes(
+        self, done: Sequence[Batch], completed: Sequence[object]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, list]]:
+        """Per member of each completed task, in completion order.
+
+        Args:
+            done: the completed tasks' batches.
+            completed: the completed tasks, aligned with ``done``.
+
+        Returns:
+            Each task's member count; then per member the latency
+            (``finish - arrival`` clipped at 0), the deadline-hit and
+            deadline-miss masks (a member without a deadline is in
+            neither); and the members grouped by tenant code
+            (:func:`_groups`).
+        """
+        sizes, members = _member_rows(done)
+        by_tenant = _groups(self._rows.tenant[members])
+        finish = np.fromiter(map(_FINISH, completed), dtype=float, count=len(done))
+        finish = np.repeat(finish, sizes)
+        deadlines = self._rows.deadline_s[members]
+        # A missing deadline is NaN, which no finish time is <=.
+        met = finish <= deadlines
+        has_deadline = ~np.isnan(deadlines)
+        latency = finish - self._row_arrivals[members]
+        latency[latency < 0.0] = 0.0
+        return sizes, latency, has_deadline & met, has_deadline & ~met, by_tenant
 
     # ------------------------------------------------------------------ #
     # Full round trip
@@ -637,15 +658,7 @@ class ServingLoop:
         done = list(map(by_task_id.__getitem__, map(_TASK_ID, completed)))
         tenants = [tenant.name for tenant in self.gateway.tenants]
         # Only registered tenants' requests are admitted, so only they complete.
-        sizes, latencies, hits, misses, (order, groups) = _member_outcomes(
-            done, completed, {name: code for code, name in enumerate(tenants)}
-        )
-        # Members share their task's finish-time float and the tracker
-        # shares the report's latency floats: peak memory stays at one
-        # float object per completed member.
-        completions = list(
-            chain.from_iterable(map(repeat, map(_FINISH, completed), sizes.tolist()))
-        )
+        sizes, latency, hits, misses, (order, groups) = self._member_outcomes(done, completed)
         energy = np.repeat(
             np.fromiter(map(_ENERGY, completed), dtype=float, count=len(done)) / sizes, sizes
         )
@@ -653,19 +666,25 @@ class ServingLoop:
             rows = order[start:stop]
             self.tracker.record_completions(
                 tenants[code],
-                # Indexing with the array's own scalars builds no list of
-                # row ints: the tracker shares the report's float objects.
-                list(map(latencies.__getitem__, rows)),
+                latency[rows],
                 energy[rows],
                 deadline_hits=int(np.count_nonzero(hits[rows])),
                 deadline_misses=int(np.count_nonzero(misses[rows])),
             )
+        del energy, order
+        latencies = latency.tolist()
+        del latency
+        # Members share their task's finish-time float: peak memory stays
+        # at one float object per completed member.
+        completions = list(
+            chain.from_iterable(map(repeat, map(_FINISH, completed), sizes.tolist()))
+        )
         if self._trace:
             self._trace_completions(done, completed, hits, misses)
         dropped = 0
         for task_id in simulation.unplaced:
             batch = by_task_id[task_id]
-            self.tracker.record_dropped(batch.requests[0].tenant, batch.size)
+            self.tracker.record_dropped(batch.key[0], batch.size)
             dropped += batch.size
             if self._trace:
                 for member in batch.requests:

@@ -31,13 +31,14 @@ def percentiles(values: Sequence[float], qs: Sequence[float]) -> Tuple[float, ..
     runs.
 
     Args:
-        values: the sample; an empty sample yields all zeros.
+        values: the sample (a sequence or an array); an empty sample
+            yields all zeros.
         qs: the percentile ranks to compute, each in [0, 100].
 
     Returns:
         One value per requested rank, in the same order.
     """
-    if not values:
+    if len(values) == 0:
         return tuple(0.0 for _ in qs)
     results = np.percentile(np.asarray(values, dtype=float), qs)
     return tuple(float(value) for value in results)
@@ -118,7 +119,8 @@ class _TenantAccumulator:
     admitted: int = 0
     rejected: int = 0
     dropped: int = 0
-    latencies_s: List[float] = field(default_factory=list)
+    #: completed requests' latencies in completion order, one array per run.
+    latencies_s: List[np.ndarray] = field(default_factory=list)
     deadline_hits: int = 0
     deadline_misses: int = 0
     energy_j: float = 0.0
@@ -192,16 +194,17 @@ class SlaTracker:
 
         Args:
             tenant: the tenant the requests belong to.
-            latencies_s: per-request latency (Python floats), each
-                non-negative.
+            latencies_s: per-request latency (a sequence or an array),
+                each non-negative; the tracker keeps its own copy.
             energies_j: per-request energy, aligned with ``latencies_s``.
             deadline_hits: how many of the requests met their deadline.
             deadline_misses: how many missed theirs (the rest had none).
         """
-        if any(map((0.0).__gt__, latencies_s)):
+        latencies = np.array(latencies_s, dtype=float)
+        if (latencies < 0.0).any():
             raise ValueError("latency must be non-negative")
         acc = self._acc(tenant)
-        acc.latencies_s.extend(latencies_s)
+        acc.latencies_s.append(latencies)
         if len(energies_j):
             running = np.cumsum(np.concatenate(([acc.energy_j], energies_j)))
             acc.energy_j = float(running[-1])
@@ -217,14 +220,16 @@ class SlaTracker:
     # ------------------------------------------------------------------ #
     def report(self, tenant: str, horizon_s: float) -> TenantSlaReport:
         acc = self._acc(tenant)
-        p50, p95, p99 = percentiles(acc.latencies_s, (50.0, 95.0, 99.0))
-        mean = float(np.mean(acc.latencies_s)) if acc.latencies_s else 0.0
+        # One array per tenant: the percentiles and the mean share it.
+        latencies = np.concatenate(acc.latencies_s) if acc.latencies_s else np.empty(0)
+        p50, p95, p99 = percentiles(latencies, (50.0, 95.0, 99.0))
+        mean = float(latencies.mean()) if len(latencies) else 0.0
         return TenantSlaReport(
             tenant=tenant,
             offered=acc.offered,
             admitted=acc.admitted,
             rejected=acc.rejected,
-            completed=len(acc.latencies_s),
+            completed=len(latencies),
             dropped=acc.dropped,
             horizon_s=horizon_s,
             p50_latency_s=p50,

@@ -5,10 +5,9 @@ an instant earlier than any of its members was added, even when arrivals
 land mid-tick (between two grid points of the flush cadence) and the
 end-of-stream drain stamps them at the raw arrival instant rather than a
 grid tick.  The batcher enforces the invariant structurally, and the
-event-driven ingest must walk exactly the same grid as an exhaustive
-tick-by-tick scan -- pinned here against a reference scan implemented in
-the test (the production scan path was retired with the array-native
-core).
+columnar ingest (one batching pass) must flush exactly as an exhaustive
+tick-by-tick scan through ``Batcher.add``/``flush_ready``/``flush_all``
+does -- pinned here against a reference scan implemented in the test.
 """
 
 from __future__ import annotations
@@ -36,23 +35,28 @@ class NullScheduler:
 
 
 class RecordingBatcher(Batcher):
-    """Batcher that logs every clock instant it observes."""
+    """Batcher that logs every clock instant its batching pass covers.
+
+    The pass stands for a timeline: the rows before flush check ``k`` are
+    added, then check ``k`` runs at ``k * tick``; the end-of-stream flush
+    comes last.  The log lists those instants in that order.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.observed: List[Tuple[str, float]] = []
 
-    def add(self, request, now_s):
-        self.observed.append(("add", now_s))
-        return super().add(request, now_s)
-
-    def flush_ready(self, now_s):
-        self.observed.append(("flush_ready", now_s))
-        return super().flush_ready(now_s)
-
-    def flush_all(self, now_s):
-        self.observed.append(("flush_all", now_s))
-        return super().flush_all(now_s)
+    def _batch(self, rows, adds_s, positions, tick=1.0, last=0, final_s=None, sequence=None):
+        timeline = sorted(
+            [(int(position), 0, float(add_s)) for position, add_s in zip(positions, adds_s)]
+            + [(check, 1, check * tick) for check in range(1, last + 1)]
+        )
+        self.observed.extend(
+            ("flush_ready" if kind else "add", instant) for _, kind, instant in timeline
+        )
+        if final_s is not None:
+            self.observed.append(("flush_all", final_s))
+        return super()._batch(rows, adds_s, positions, tick, last, final_s, sequence)
 
 
 def make_request(request_id: str, arrival_s: float, deadline_s=None, tenant="t"):
@@ -130,6 +134,7 @@ class TestMonotoneIngest:
         ]
         batches = loop._ingest(requests)
         times = [instant for _, instant in recording.observed]
+        assert len(times) > len(requests)
         assert times == sorted(times)
         # Every member was admitted and flushed, none behind its add time.
         assert sum(batch.size for batch in batches) == len(requests)

@@ -1,26 +1,32 @@
 """``ServingLoop.run`` against a slow, per-request reference oracle.
 
 The serving loop builds columns from the request stream, decides every
-admission in one pass per tenant and gathers the rollup per task.  The
+admission in one pass per tenant, forms every batch from per-row key
+codes and add instants, and gathers the rollup per member row.  The
 reference below is the per-object front half it replaced, kept verbatim:
 one offer and one tracker entry per request, the tick walk draining the
-gateway queues, and one tracker entry per completed member.  Since
-``RequestGateway.offer``/``drain`` and ``SlaTracker.record_offered``/
-``record_completion`` are now thin calls into the bulk implementations
-under test, the reference carries their per-object bodies too (offer
-through ``TokenBucket.try_consume``), acting on the same gateway and
-tracker state.  It shares the batcher and simulator with the library, but
-none of the admission, drain, tracker-entry, ingest or rollup code.
+gateway queues into a per-request batcher, and one tracker entry per
+completed member.  Since ``RequestGateway.offer``/``drain``,
+``Batcher.add``/``flush_ready``/``flush_all`` and
+``SlaTracker.record_offered``/``record_completion`` are now thin calls
+into the bulk implementations under test, the reference carries their
+per-object bodies too (offer through ``TokenBucket.try_consume``, and its
+own copy of the per-request ``Batch``/``Batcher`` including
+``to_task_request``), acting on the same gateway and tracker state.  It
+shares only the simulator with the library.
 
 Four guards:
 
 * hypothesis properties asserting the two agree exactly -- batches (ids,
-  members, flush instants), gateway stats and token-bucket state, tracker
-  reports, per-member latencies and completions, and (traced) the span
-  sequence -- on arbitrary tenant sets, bursts that overflow the queues,
-  ``burst=1`` buckets, tied arrivals with out-of-order ids, ticks binary
-  floating point cannot represent, deadline-driven flushes, unknown
-  tenants and empty streams;
+  keys, members, open and flush instants, in flush order), the batcher's
+  metrics (the batch-size histogram in flush order), gateway stats and
+  token-bucket state, tracker reports, per-member latencies and
+  completions, and (traced) the span sequence -- on arbitrary tenant
+  sets, bursts that overflow the queues, ``burst=1`` buckets, tied
+  arrivals with out-of-order ids, ticks binary floating point cannot
+  represent, size-cap, staleness and deadline flushes (alone and on the
+  same tick), memory on a bucket boundary, unknown tenants and empty
+  streams;
 * a pinned unknown-tenant conservation case on both paths;
 * a loud failure for arrivals past the exact range of the tick grid;
 * a sha256 golden of one warm-sweep-shaped deployment's reports, which
@@ -31,7 +37,9 @@ Four guards:
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,13 +55,13 @@ from repro.scheduler.heats import HeatsScheduler
 from repro.scheduler.modeling import ProfilingCampaign
 from repro.scheduler.simulation import ClusterSimulator
 from repro.scheduler.workload import TaskRequest
-from repro.serving.batching import Batch, BatchPolicy
+from repro.serving.batching import BatchKey, BatchPolicy
 from repro.serving.cache import CacheStats
 from repro.serving.endpoints import endpoint
 from repro.serving.gateway import AdmissionDecision, RequestGateway, ServingRequest, Tenant
 from repro.serving.loop import ServingLoop, ServingReport, ServingWorkload
 from repro.serving.sla import SlaTracker
-from repro.telemetry import Tracer
+from repro.telemetry import MetricsRegistry, Tracer
 from repro.telemetry.trace import Span
 
 #: learned models fitted once; every example replays on a fresh cluster.
@@ -114,7 +122,7 @@ def _record_offered(tracker: SlaTracker, tenant: str, admitted: bool) -> None:
 
 def _record_completion(tracker: SlaTracker, tenant, latency_s, energy_j, deadline_met) -> None:
     acc = tracker._acc(tenant)
-    acc.latencies_s.append(latency_s)
+    acc.latencies_s.append(np.array([latency_s]))
     acc.energy_j += energy_j
     if deadline_met is True:
         acc.deadline_hits += 1
@@ -122,20 +130,210 @@ def _record_completion(tracker: SlaTracker, tenant, latency_s, energy_j, deadlin
         acc.deadline_misses += 1
 
 
-class _Reference:
-    """Today's per-request ``_ingest`` / ``_rollup`` over a loop's parts."""
+@dataclass
+class _Batch:
+    """A group of compatible requests flushed as one cluster task."""
 
-    def __init__(self, loop: ServingLoop) -> None:
+    batch_id: str
+    key: BatchKey
+    requests: List[ServingRequest]
+    opened_s: float
+    flushed_s: Optional[float] = None
+
+    @property
+    def size(self) -> int:
+        return len(self.requests)
+
+    @property
+    def total_gops(self) -> float:
+        return sum(request.gops for request in self.requests)
+
+    @property
+    def earliest_deadline_s(self) -> Optional[float]:
+        deadlines = [r.deadline_s for r in self.requests if r.deadline_s is not None]
+        return min(deadlines) if deadlines else None
+
+    def to_task_request(self, flush_s: float, energy_weight: float) -> TaskRequest:
+        """The schedulable task this batch becomes when flushed."""
+        head = self.requests[0]
+        # A member deadline that already passed by flush time cannot be
+        # carried on the task (arrival would be at/after it); the batch
+        # still runs, and the SLA tracker scores the miss per member.
+        # One walk over the members computes the aggregate resource shape
+        # (same accumulation order as the per-property passes, so the
+        # floats are identical).
+        total_gops = 0.0
+        cores = 0
+        memory_gib = 0.0
+        deadline: Optional[float] = None
+        for r in self.requests:
+            total_gops += r.gops
+            if r.cores > cores:
+                cores = r.cores
+            if r.memory_gib > memory_gib:
+                memory_gib = r.memory_gib
+            if r.deadline_s is not None and (deadline is None or r.deadline_s < deadline):
+                deadline = r.deadline_s
+        if deadline is not None and deadline <= flush_s:
+            deadline = None
+        return TaskRequest(
+            task_id=self.batch_id,
+            arrival_s=flush_s,
+            workload=head.workload,
+            gops=total_gops,
+            cores=cores,
+            memory_gib=memory_gib,
+            energy_weight=energy_weight,
+            deadline_s=deadline,
+            tenant=head.tenant,
+        )
+
+
+class _Batcher:
+    """Open-batch table keyed by (tenant, use case, resource shape)."""
+
+    def __init__(
+        self,
+        policy: Optional[BatchPolicy] = None,
+        metrics: Optional["MetricsRegistry"] = None,
+    ) -> None:
+        self.policy = policy if policy is not None else BatchPolicy()
+        self._open: Dict[BatchKey, _Batch] = {}
+        self._ids = itertools.count()
+        self._last_now_s = float("-inf")
+        # Bound once; each flush records one counter add + one ring write.
+        if metrics is not None:
+            self._m_flushes = metrics.counter("batcher.flushes")
+            self._m_batch_size = metrics.histogram("batcher.batch_size")
+        else:
+            self._m_flushes = None
+            self._m_batch_size = None
+
+    def _key(self, request: ServingRequest) -> BatchKey:
+        bucket = int(request.memory_gib / self.policy.memory_bucket_gib)
+        return (request.tenant, request.use_case, request.workload, request.cores, bucket)
+
+    def _observe_clock(self, now_s: float) -> None:
+        """Enforce the monotone-clock contract of the batching timeline.
+
+        A batch must never flush earlier than any of its members was
+        added; rejecting a backwards clock at the door makes that
+        invariant structural instead of an accident of the caller's tick
+        arithmetic.
+        """
+        if now_s < self._last_now_s:
+            raise ValueError(
+                f"batcher observed time going backwards "
+                f"({now_s} after {self._last_now_s})"
+            )
+        self._last_now_s = now_s
+
+    def next_flush_due_s(self) -> Optional[float]:
+        """Earliest instant any open batch becomes flushable, or None.
+
+        The staleness rule fires a batch at ``opened + max_delay`` and the
+        deadline rule at ``deadline - margin``; the minimum over open
+        batches is the next time a time-driven flush can possibly happen,
+        which lets an event-driven serving loop skip every quiet tick
+        before it.  Size-cap flushes happen inside :meth:`add` and need no
+        clock.
+        """
+        due: Optional[float] = None
+        for batch in self._open.values():
+            batch_due = batch.opened_s + self.policy.max_delay_s
+            deadline = batch.earliest_deadline_s
+            if deadline is not None:
+                batch_due = min(batch_due, deadline - self.policy.deadline_margin_s)
+            if due is None or batch_due < due:
+                due = batch_due
+        return due
+
+    @property
+    def open_batches(self) -> List[_Batch]:
+        return list(self._open.values())
+
+    # ------------------------------------------------------------------ #
+    # Filling and flushing
+    # ------------------------------------------------------------------ #
+    def add(self, request: ServingRequest, now_s: float) -> List[_Batch]:
+        """Append a request; returns any batches this add caused to flush."""
+        # _observe_clock inlined (one call per admitted request).
+        if now_s < self._last_now_s:
+            raise ValueError(
+                f"batcher observed time going backwards "
+                f"({now_s} after {self._last_now_s})"
+            )
+        self._last_now_s = now_s
+        policy = self.policy
+        key = (
+            request.tenant,
+            request.use_case,
+            request.workload,
+            request.cores,
+            int(request.memory_gib / policy.memory_bucket_gib),
+        )
+        batch = self._open.get(key)
+        if batch is None:
+            batch = _Batch(
+                batch_id=f"batch-{next(self._ids)}-{request.tenant}-{request.use_case}",
+                key=key,
+                requests=[request],
+                opened_s=now_s,
+            )
+            self._open[key] = batch
+        else:
+            batch.requests.append(request)
+        if len(batch.requests) >= policy.max_batch_size:
+            return [self._flush(key, now_s)]
+        return []
+
+    def flush_ready(self, now_s: float) -> List[_Batch]:
+        """Flush batches that are stale or whose deadline slack ran out."""
+        self._observe_clock(now_s)
+        flushed: List[_Batch] = []
+        for key, batch in list(self._open.items()):
+            if now_s - batch.opened_s >= self.policy.max_delay_s:
+                flushed.append(self._flush(key, now_s))
+                continue
+            deadline = batch.earliest_deadline_s
+            if deadline is not None and now_s >= deadline - self.policy.deadline_margin_s:
+                flushed.append(self._flush(key, now_s))
+        return flushed
+
+    def flush_all(self, now_s: float) -> List[_Batch]:
+        """Drain every open batch (end of stream)."""
+        self._observe_clock(now_s)
+        return [self._flush(key, now_s) for key in list(self._open)]
+
+    def _flush(self, key: BatchKey, now_s: float) -> _Batch:
+        batch = self._open.pop(key)
+        batch.flushed_s = now_s
+        if self._m_flushes is not None:
+            self._m_flushes.inc()
+            self._m_batch_size.record(float(batch.size))
+        return batch
+
+
+class _Reference:
+    """The per-request ``_ingest`` / ``_rollup`` over a loop's parts.
+
+    Batching goes through the reference's own per-request batcher, built
+    with the loop's policy and metrics registry.
+    """
+
+    def __init__(self, loop: ServingLoop, metrics: Optional[MetricsRegistry] = None) -> None:
         self.loop = loop
+        self.batcher = _Batcher(loop.batcher.policy, metrics=metrics)
         self.trace = loop.tracer is not None and loop.tracer.enabled
         self.request_roots: Dict[str, Span] = {}
         self.gateway_spans: Dict[str, Span] = {}
         self.batch_wait_spans: Dict[str, Span] = {}
 
-    def ingest(self, requests: Sequence[ServingRequest]) -> List[Batch]:
+    def ingest(self, requests: Sequence[ServingRequest]) -> List[_Batch]:
         loop = self.loop
+        batcher = self.batcher
         ordered = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        flushed: List[Batch] = []
+        flushed: List[_Batch] = []
         tick = loop.flush_tick_s
         index = 0
 
@@ -153,13 +351,13 @@ class _Reference:
             now = index * tick
             for admitted in _drain(loop.gateway):
                 flushed.extend(self.admit_to_batcher(admitted, now))
-            flushed.extend(loop.batcher.flush_ready(now))
+            flushed.extend(batcher.flush_ready(now))
 
         def advance_to(time_s: float) -> None:
             nonlocal index
             while (index + 1) * tick <= time_s:
                 if loop.gateway.queued_count == 0:
-                    due = loop.batcher.next_flush_due_s()
+                    due = batcher.next_flush_due_s()
                     if due is None or due > time_s:
                         index = last_index_at(time_s)
                         return
@@ -178,8 +376,8 @@ class _Reference:
         advance_to(end)
         for admitted in _drain(loop.gateway):
             flushed.extend(self.admit_to_batcher(admitted, end))
-        advance_to(end + loop.batcher.policy.max_delay_s + tick)
-        flushed.extend(loop.batcher.flush_all(max(index * tick, end)))
+        advance_to(end + batcher.policy.max_delay_s + tick)
+        flushed.extend(batcher.flush_all(max(index * tick, end)))
         return flushed
 
     def trace_admission(self, request, decision) -> None:
@@ -196,7 +394,7 @@ class _Reference:
             root.annotate("terminal", True)
             root.end(request.arrival_s, verdict=decision.value)
 
-    def admit_to_batcher(self, admitted, now: float) -> List[Batch]:
+    def admit_to_batcher(self, admitted, now: float) -> List[_Batch]:
         if self.trace:
             gate = self.gateway_spans.pop(admitted.request_id, None)
             if gate is not None:
@@ -207,7 +405,7 @@ class _Reference:
                 admitted.request_id,
                 parent=self.request_roots.get(admitted.request_id),
             )
-        return self.loop.batcher.add(admitted, now)
+        return self.batcher.add(admitted, now)
 
     def trace_flushes(self, batches) -> None:
         for batch in batches:
@@ -230,7 +428,7 @@ class _Reference:
         cache_baseline = CacheStats(**vars(cache.stats)) if cache is not None else None
         for tenant in loop.gateway.tenants:
             loop.tracker.set_latency_slo(tenant.name, tenant.latency_slo_s)
-        batches = self.ingest(requests)
+        batches = self.flushed = self.ingest(requests)
         if self.trace:
             self.trace_flushes(batches)
         by_task_id = {batch.batch_id: batch for batch in batches}
@@ -316,8 +514,11 @@ class _Reference:
 # ----------------------------------------------------------------------
 
 
-def _loop(tenants, policy: BatchPolicy, tick: float, traced: bool) -> Tuple[ServingLoop, list]:
-    """A fresh loop whose batcher records every batch it hands back."""
+def _loop(
+    tenants, policy: BatchPolicy, tick: float, traced: bool
+) -> Tuple[ServingLoop, MetricsRegistry, list]:
+    """A fresh loop that records the batches its ingest hands back, in order."""
+    metrics = MetricsRegistry()
     loop = ServingLoop(
         Cluster.heats_testbed(scale=1),
         HeatsScheduler(MODELS),
@@ -325,20 +526,19 @@ def _loop(tenants, policy: BatchPolicy, tick: float, traced: bool) -> Tuple[Serv
         batch_policy=policy,
         tracker=SlaTracker(),
         flush_tick_s=tick,
+        metrics=metrics,
         tracer=Tracer() if traced else None,
     )
     seen: list = []
-    batcher = loop.batcher
-    for name in ("add", "flush_ready", "flush_all"):
-        method = getattr(batcher, name)
+    ingest = loop._ingest
 
-        def recording(*args, _method=method, **kwargs):
-            out = _method(*args, **kwargs)
-            seen.extend(out)
-            return out
+    def recording(requests):
+        out = ingest(requests)
+        seen.extend(out)
+        return out
 
-        setattr(batcher, name, recording)
-    return loop, seen
+    loop._ingest = recording
+    return loop, metrics, seen
 
 
 def _batches(seen) -> list:
@@ -346,6 +546,17 @@ def _batches(seen) -> list:
         (b.batch_id, b.key, [m.request_id for m in b.requests], b.opened_s, b.flushed_s)
         for b in seen
     ]
+
+
+def _batcher_metrics(metrics: MetricsRegistry) -> tuple:
+    """The batcher's instruments, the batch-size samples in flush order."""
+    sizes = metrics.histogram("batcher.batch_size")
+    return (
+        metrics.counter("batcher.flushes").value,
+        sizes.count,
+        sizes.total,
+        sizes.window_values(),
+    )
 
 
 def _gateway_state(gateway: RequestGateway) -> dict:
@@ -362,7 +573,14 @@ def _gateway_state(gateway: RequestGateway) -> dict:
 
 
 def _tracker_state(tracker: SlaTracker) -> dict:
-    return {name: vars(acc) for name, acc in tracker._tenants.items()}
+    """Every accumulator field, the latency runs as one list of floats."""
+    return {
+        name: {
+            **vars(acc),
+            "latencies_s": [float(x) for run in acc.latencies_s for x in run],
+        }
+        for name, acc in tracker._tenants.items()
+    }
 
 
 def _spans(spans: Optional[List[Span]]) -> Optional[list]:
@@ -385,12 +603,14 @@ def _spans(spans: Optional[List[Span]]) -> Optional[list]:
 def _assert_same_run(
     tenants, requests, policy: BatchPolicy, tick: float, traced: bool
 ) -> ServingReport:
-    fast_loop, fast_seen = _loop(tenants, policy, tick, traced)
-    slow_loop, slow_seen = _loop(tenants, policy, tick, traced)
+    fast_loop, fast_metrics, fast_seen = _loop(tenants, policy, tick, traced)
+    slow_loop, slow_metrics, _ = _loop(tenants, policy, tick, traced)
+    reference = _Reference(slow_loop, slow_metrics)
     fast = fast_loop.run(requests)
-    slow = _Reference(slow_loop).run(requests)
+    slow = reference.run(requests)
 
-    assert _batches(fast_seen) == _batches(slow_seen)
+    assert _batches(fast_seen) == _batches(reference.flushed)
+    assert _batcher_metrics(fast_metrics) == _batcher_metrics(slow_metrics)
     assert _gateway_state(fast_loop.gateway) == _gateway_state(slow_loop.gateway)
     assert _tracker_state(fast_loop.tracker) == _tracker_state(slow_loop.tracker)
     # Dataclass equality compares every field, energy_j with ``==``.
@@ -438,7 +658,9 @@ def cases(draw):
     policy = BatchPolicy(
         max_batch_size=draw(st.integers(min_value=1, max_value=6)),
         max_delay_s=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])),
-        memory_bucket_gib=draw(st.sampled_from([0.5, 4.0])),
+        # 0.2 / 0.1 is 2.0 but 0.3 / 0.1 is 2.9999999999999996: both land
+        # in bucket 2, and 0.5, 1.0 and 1.5 sit exactly on 0.5 boundaries.
+        memory_bucket_gib=draw(st.sampled_from([0.1, 0.5, 4.0])),
         deadline_margin_s=draw(st.sampled_from([0.0, 0.5])),
     )
     tick = draw(st.sampled_from(TICKS))
@@ -466,13 +688,18 @@ def cases(draw):
             ServingRequest(
                 request_id=f"q{ids[index]:03d}",
                 tenant=tenant,
-                use_case=f"uc{rng.integers(2)}",
+                use_case=f"uc{rng.integers(3)}",
                 arrival_s=arrival,
                 workload=KINDS[rng.integers(3)],
                 gops=float(rng.uniform(1.0, 30.0)),
                 cores=int(rng.choice([1, 2])),
                 # 512 GiB fits no testbed node: that batch is dropped.
-                memory_gib=float(rng.choice([0.5, 1.0, 3.0, 512.0], p=[0.4, 0.3, 0.25, 0.05])),
+                memory_gib=float(
+                    rng.choice(
+                        [0.2, 0.3, 0.5, 1.0, 1.5, 3.0, 512.0],
+                        p=[0.15, 0.15, 0.2, 0.2, 0.1, 0.15, 0.05],
+                    )
+                ),
                 deadline_s=deadline,
             )
         )
@@ -557,6 +784,76 @@ MANY_TENANTS = (
 )
 
 
+
+
+def _req(request_id, arrival, use_case="uc", deadline=None, memory=0.5, tenant="t0"):
+    return ServingRequest(
+        request_id, tenant, use_case, arrival, WorkloadKind.SCALAR, 2.0, 1, memory, deadline
+    )
+
+
+#: a fast tenant whose bucket and queue never reject (the batcher is under test).
+OPEN_DOOR = Tenant(name="t0", rate_limit_rps=1000.0, burst=64, max_queue_depth=64)
+
+#: every request is its own batch and flushes at its own add.
+SIZE_ONE = (
+    [OPEN_DOOR],
+    [_req(f"s{i}", 0.07 * i, use_case=f"uc{i % 2}") for i in range(9)],
+    BatchPolicy(max_batch_size=1),
+    0.1,
+)
+#: with no delay every batch flushes on the tick it opened, after that
+#: tick's whole drain; the last bin's batches open at the last arrival.
+ZERO_DELAY = (
+    [OPEN_DOOR, Tenant(name="t1", rate_limit_rps=1000.0, burst=64, max_queue_depth=64)],
+    [_req(f"z{i}", 0.15 * (i // 3), use_case=f"uc{i % 2}", tenant=f"t{i % 2}") for i in range(12)],
+    BatchPolicy(max_batch_size=4, max_delay_s=0.0),
+    0.3,
+)
+#: on the 1.0 s tick key "cap" fills (size-cap flush during the drain) and
+#: key "late" reaches its deadline margin (flush_ready after the drain):
+#: "late" opened first, so flush order and id order disagree.
+CAP_AND_DEADLINE = (
+    [OPEN_DOOR],
+    [
+        _req("d0", 0.1, use_case="late", deadline=1.4),
+        _req("c0", 0.2, use_case="cap"),
+        _req("x0", 0.3, use_case="idle"),
+        _req("c1", 0.7, use_case="cap"),
+        _req("c2", 2.2, use_case="cap"),
+    ],
+    BatchPolicy(max_batch_size=2, max_delay_s=10.0, deadline_margin_s=0.5),
+    0.5,
+)
+#: memory on and next to bucket boundaries, three keys from one endpoint.
+BUCKET_EDGES = (
+    [OPEN_DOOR],
+    [_req(f"m{i}", 0.05 * i, memory=memory) for i, memory in enumerate(
+        (0.2, 0.3, 0.30000000000000004, 0.4, 0.5, 0.2, 0.3, 0.4, 0.1, 0.2)
+    )],
+    BatchPolicy(max_batch_size=3, memory_bucket_gib=0.1),
+    0.25,
+)
+#: four keys on one tenant, and a last tick bin holding several
+#: admissions (drained at the last arrival, 1.9, not on a tick).
+LAST_BIN = (
+    [OPEN_DOOR],
+    [_req(f"l{i}", 0.1 + 0.25 * i, use_case=f"early{i % 2}") for i in range(5)]
+    + [_req(f"n{i}", 1.9, use_case=f"uc{i % 4}", deadline=2.5 + i) for i in range(7)],
+    BatchPolicy(max_batch_size=3, max_delay_s=1.0, deadline_margin_s=0.5),
+    0.5,
+)
+#: twelve batches flushing at one instant: the tasks run in
+#: (arrival, task id) order, so "batch-10-..." runs before "batch-2-...".
+SAME_INSTANT = (
+    [OPEN_DOOR],
+    [_req(f"u{i:02d}", 0.01 * i, use_case=f"uc{i}") for i in range(12)],
+    BatchPolicy(max_delay_s=1.0),
+    0.5,
+)
+BATCHING_EDGES = (SIZE_ONE, ZERO_DELAY, CAP_AND_DEADLINE, BUCKET_EDGES, LAST_BIN, SAME_INSTANT)
+
+
 @settings(max_examples=200, deadline=None)
 @given(cases())
 @example(EMPTY)
@@ -565,6 +862,12 @@ MANY_TENANTS = (
 @example(IDLE_REFILL)
 @example(SIGNED_ZERO)
 @example(MANY_TENANTS)
+@example(SIZE_ONE)
+@example(ZERO_DELAY)
+@example(CAP_AND_DEADLINE)
+@example(BUCKET_EDGES)
+@example(LAST_BIN)
+@example(SAME_INSTANT)
 def test_columnar_front_half_matches_the_reference(case):
     tenants, requests, policy, tick = case
     _assert_same_run(tenants, requests, policy, tick, traced=False)
@@ -575,6 +878,8 @@ def test_columnar_front_half_matches_the_reference(case):
 @example(EMPTY)
 @example(BURST)
 @example(MANY_TENANTS)
+@example(CAP_AND_DEADLINE)
+@example(LAST_BIN)
 def test_traced_front_half_matches_the_reference_span_for_span(case):
     tenants, requests, policy, tick = case
     _assert_same_run(tenants, requests, policy, tick, traced=True)
@@ -588,10 +893,41 @@ def test_the_generated_cases_reach_every_admission_outcome():
     ]
     report = _assert_same_run(tenants, requests, policy, tick, traced=False)
     assert report.offered == 6 and report.admitted == 2
-    loop, _ = _loop(tenants, policy, tick, traced=False)
+    loop, _, _ = _loop(tenants, policy, tick, traced=False)
     loop.run(requests)
     stats = loop.gateway.stats("t0")
     assert (stats.offered, stats.admitted, stats.rejected_queue_full) == (5, 2, 3)
+
+
+def _reference_batches(case) -> list:
+    tenants, requests, policy, tick = case
+    loop, _, _ = _loop(tenants, policy, tick, traced=False)
+    reference = _Reference(loop)
+    reference.run(requests)
+    return reference.flushed
+
+
+def test_the_batching_edge_cases_reach_what_they_name():
+    for case in BATCHING_EDGES:
+        assert _assert_same_run(*case, traced=False).admitted == len(case[1])
+    assert {b.size for b in _reference_batches(SIZE_ONE)} == {1}
+    zero = _reference_batches(ZERO_DELAY)
+    assert all(b.flushed_s == b.opened_s for b in zero[:-2])
+    assert {b.opened_s for b in zero[-2:]} == {ZERO_DELAY[1][-1].arrival_s}
+    cap, late = _reference_batches(CAP_AND_DEADLINE)[:2]
+    assert (cap.key[1], cap.size, late.key[1]) == ("cap", 2, "late")
+    assert cap.flushed_s == late.flushed_s == 1.0
+    assert late.batch_id.startswith("batch-0-") and cap.batch_id.startswith("batch-1-")
+    assert [m.request_id for m in _reference_batches(BUCKET_EDGES)[0].requests] == [
+        "m0", "m1", "m5"
+    ]
+    last = [b for b in _reference_batches(LAST_BIN) if b.opened_s == 1.9]
+    assert len(last) == 4 and sum(b.size for b in last) == 7
+    tied = _reference_batches(SAME_INSTANT)
+    assert len({b.flushed_s for b in tied}) == 1 and len(tied) == 12
+    loop, _, _ = _loop(*SAME_INSTANT[:1], SAME_INSTANT[2], SAME_INSTANT[3], traced=False)
+    order = [t.task_id for t in _Reference(loop).to_task_requests(tied)]
+    assert order.index("batch-10-t0-uc10") < order.index("batch-2-t0-uc2")
 
 
 # ----------------------------------------------------------------------
@@ -617,18 +953,18 @@ def _check_ghost_conservation(loop: ServingLoop, report: ServingReport) -> None:
 
 
 def test_unknown_tenant_conservation_on_the_columnar_path():
-    loop, _ = _loop([Tenant(name="t0")], BatchPolicy(), 0.5, traced=False)
+    loop, _, _ = _loop([Tenant(name="t0")], BatchPolicy(), 0.5, traced=False)
     _check_ghost_conservation(loop, loop.run(_ghost_stream()))
 
 
 def test_unknown_tenant_conservation_on_the_reference_path():
-    loop, _ = _loop([Tenant(name="t0")], BatchPolicy(), 0.5, traced=False)
+    loop, _, _ = _loop([Tenant(name="t0")], BatchPolicy(), 0.5, traced=False)
     _check_ghost_conservation(loop, _Reference(loop).run(_ghost_stream()))
 
 
 def test_arrivals_beyond_the_exact_tick_grid_fail_loudly():
     """Tick bins are int64; past 2**53 ticks the grid is no longer exact."""
-    loop, _ = _loop([Tenant(name="t0")], BatchPolicy(), 0.5, traced=False)
+    loop, _, _ = _loop([Tenant(name="t0")], BatchPolicy(), 0.5, traced=False)
     far = ServingRequest("r0", "t0", "uc", 1e300, WorkloadKind.SCALAR, 3.0, 1, 0.5)
     with pytest.raises(ValueError, match="flush-tick grid"):
         loop.run([far])
