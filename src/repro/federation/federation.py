@@ -942,6 +942,7 @@ class Federation:
         """
         node = self.scheduler.shard(shard_name).grow_node(model)
         self.cluster.attach_node(shard_name, node)
+        self.scheduler._node_shard[node.name] = shard_name
         return node.name
 
     def shrink_node(self, shard_name: str, node_name: Optional[str] = None) -> Optional[str]:
@@ -970,6 +971,7 @@ class Federation:
         # drop it, so an invalid request never splits the two indices.
         shard.release_node(node_name)
         self.cluster.detach_node(node_name)
+        del self.scheduler._node_shard[node_name]
         return node_name
 
     def reprice_shard(self, shard_name: str, energy_price_per_kwh: float) -> float:

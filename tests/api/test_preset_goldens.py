@@ -50,7 +50,7 @@ from repro.serving import BatchPolicy, ServingWorkload, Tenant
 PRESET_GOLDENS = {
     "single": "067c90ac21e36ef767036c53af401d5bc2c2a8e9d3d897abca0d6eec0e454f6c",
     "federated": "e00ea993e1f0feefc1e08cf7891f8b3d6cee9b575ea2b13f097fbccab0455463",
-    "autoscaled": "2f6fc8e0e9a1c065d83c554d975ed6d88e5ac0db7f5da4b1ae8759ca9532cab7",
+    "autoscaled": "cb320e827c9535bfcd17754eb618bdc1e629ba9899b9bad2ebc866d20230bb5c",
 }
 # The score cache memoises HEATS scores and must change no outcome, so the
 # uncached variants of a preset keep that preset's digest.
@@ -59,7 +59,7 @@ VARIANT_GOLDENS = {
     "federated_migration_threshold":
         "c7309e750395e9e94e56cad1eccae8b789acbc7417f8608b77675aa23ff7ae28",
     "autoscaled_federated":
-        "befcf7cde6e1ab4be8b61def7fa25bcdd5317a19765441ef54142964896ce44a",
+        "87bc9077e69fb748c0870a1d2b35e2c535c2aeca862802ecfe29c9db905e5c8c",
     "uncached": PRESET_GOLDENS["single"],
     "federated_uncached": PRESET_GOLDENS["federated"],
 }

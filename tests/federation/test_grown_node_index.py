@@ -1,29 +1,31 @@
-"""Known bug: a grown node is missing from the scheduler's node index.
+"""A node grown into a shard is a full member of that shard.
 
-``Federation.grow_node`` records the new node in the union cluster's
-node -> shard map (``FederatedCluster``) but not in the scheduler's own
-map (``FederatedScheduler._node_shard``).  So the scheduler cannot name a
-grown node's shard, and retiring a shard that holds one fails with a
-``KeyError`` halfway through: the scheduler has already dropped the shard
-while the union cluster still holds its nodes.
-
-Both tests are strict xfails.  Syncing the two indices changes the
-simulated trajectory of autoscaled runs that grow nodes, so the fix is a
-behaviour change of its own; when it lands these tests start passing,
-the strict marker fails the suite, and the markers come off with it.
+``Federation.grow_node`` adds a node to a running shard.  Every consumer
+that asks which shard owns a node must then name that shard: the
+scheduler's ``shard_of_node``, the rescheduling pass that hands running
+tasks to their shard's HEATS scheduler, the chaos actuator that reaps a
+failed node, the shard retirement in ``finalize_drain``, and the
+simulator's trace spans the live console tiles are built from.  One test
+per consumer.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.api import Deployment, DeploymentSpec, TopologySpec
-
-known_bug = pytest.mark.xfail(
-    strict=True,
-    raises=KeyError,
-    reason="grow_node does not register the node in FederatedScheduler._node_shard",
+from repro.api import (
+    AutoscaleSpec,
+    Deployment,
+    DeploymentSpec,
+    TelemetrySpec,
+    TopologySpec,
 )
+from repro.hardware.microserver import WorkloadKind
+from repro.scenarios.chaos import FederationActuator
+from repro.scheduler.placement import PlacementEngine
+from repro.scheduler.workload import TaskRequest
+from repro.serving import ServingWorkload, Tenant
+from repro.telemetry.console import build_frames
 
 
 @pytest.fixture
@@ -38,16 +40,116 @@ def grown():
     return federation, shard, node
 
 
-@known_bug
+def _run_on(federation, node: str) -> PlacementEngine:
+    """An engine with one task running on ``node``."""
+    engine = PlacementEngine(federation.cluster)
+    request = TaskRequest(
+        task_id="on-grown", arrival_s=0.0, workload=WorkloadKind.SCALAR,
+        gops=50.0, cores=1, memory_gib=0.5,
+    )
+    engine.instantiate(request, node, 0.0)
+    return engine
+
+
 def test_scheduler_knows_grown_node_shard(grown):
     federation, shard, node = grown
     assert federation.scheduler.shard_of_node(node) == shard
 
 
-@known_bug
 def test_finalize_drain_removes_shard_with_grown_node(grown):
     federation, shard, node = grown
     federation.begin_drain(shard)
     assert federation.finalize_drain(shard) is not None
     assert [s.name for s in federation.shards] == [federation.shards[0].name]
     assert node not in {n.name for n in federation.cluster.nodes}
+
+
+def test_reschedule_hands_grown_node_tasks_to_their_shard(grown, monkeypatch):
+    federation, shard, node = grown
+    engine = _run_on(federation, node)
+    heats = federation.scheduler.shard(shard).scheduler
+    groups = []
+    original = heats.reschedule
+
+    def recording(running, cluster, time_s):
+        groups.append([(p.request.task_id, p.node) for p in running])
+        return original(running, cluster, time_s)
+
+    monkeypatch.setattr(heats, "reschedule", recording)
+    federation.scheduler.reschedule(engine.running, federation.cluster, 10.0)
+    assert groups == [[("on-grown", node)]]
+
+
+def test_actuator_reaps_an_idle_grown_node(grown):
+    federation, shard, node = grown
+    actuator = FederationActuator(federation)
+    engine = _run_on(federation, node)
+    assert actuator.remove_node(node) is False  # still busy
+    engine.complete("on-grown", 5.0)
+    assert actuator.remove_node(node) is True
+    assert node not in {n.name for n in federation.cluster.nodes}
+    assert node not in {n.name for n in federation.scheduler.shard(shard).cluster}
+
+
+def test_traced_spans_on_grown_nodes_name_their_shard():
+    """Console tiles count grown-node tasks in the shard that owns the node.
+
+    The load is pinned to the first shard's region, so the autoscaler grows
+    the second shard; a grown node's name starts with its shard's name.
+    """
+    deployment = Deployment.from_spec(
+        DeploymentSpec(
+            topology=TopologySpec(cluster_scale=2, shards=2),
+            autoscale=AutoscaleSpec(enabled=True, min_shards=2, max_shards=2),
+            telemetry=TelemetrySpec(enabled=True, tracing=True),
+        )
+    )
+    tenant = Tenant(name="north", rate_limit_rps=1000.0, burst=500, region="eu-north")
+    workload = ServingWorkload.synthetic(
+        [tenant],
+        {"north": {"ml_inference": 0.5, "smartmirror": 0.5}},
+        offered_rps=200.0,
+        duration_s=20.0,
+        seed=5,
+    )
+    ticks = list(deployment.serve_iter(workload, tick_s=5.0))
+    spans = deployment.last_report.trace_spans
+    topology = deployment.backend.topology()
+    shard_names = [entry["name"] for entry in topology["shards"]]
+    assert shard_names[0] != shard_names[1]
+
+    def owner(node: str) -> str:
+        """The owning shard, read off the node name alone."""
+        if "-auto" in node:
+            return node.split("-auto")[0]
+        index = node.split("-")[0][len("shard"):]
+        return next(name for name in shard_names if name.startswith(f"shard-{index}-"))
+
+    executes = [s for s in spans if s.name == "task.execute"]
+    on_grown = [s for s in executes if "-auto" in s.annotations["node"]]
+    assert {owner(s.annotations["node"]) for s in on_grown} == {shard_names[1]}
+    for span in on_grown:
+        assert span.annotations["shard"] == owner(span.annotations["node"])
+
+    # Every tile's running count is the execute spans open on its shard's
+    # nodes at the tick's end.
+    frames = build_frames(ticks, topology, spans)
+    for frame in frames:
+        for tile in frame.tiles:
+            expected = sum(
+                1
+                for s in executes
+                if owner(s.annotations["node"]) == tile.shard
+                and s.start_s <= frame.end_s
+                and (s.end_s is None or s.end_s > frame.end_s)
+            )
+            assert tile.running == expected
+    grown_running = [
+        sum(
+            1
+            for s in on_grown
+            if s.start_s <= frame.end_s and (s.end_s is None or s.end_s > frame.end_s)
+        )
+        for frame in frames
+    ]
+    assert any(grown_running)

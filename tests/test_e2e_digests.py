@@ -55,9 +55,9 @@ DIGESTS = {
         "d796230e72f4b072cdbd1772f93558847ae4963f5bf152165c391164020c3565",
         "ecf7f679a6936e29a4a9e78e8d3a4aa88768776314db2295baa81ea5aa6bcfe0",
     ],
-    ("elastic_chaos", 1): ["0dbb6742615c9b2f40d9fafb96f3fb1f4be6d7542bab5ff256fb828471ad1ed5"],
-    ("elastic_chaos", 2): ["7ddd96230388d249d92c933cde21184007d481a40db99f8f959ebb4f86599f36"],
-    ("elastic_chaos", 3): ["510fd39bd5af09049c931031a3f5fb16be5f8a7b4c233c96bc61a30c867cdcc3"],
+    ("elastic_chaos", 1): ["678d0b4c6a0f3bc99d36f450bfb8c0e21179d8a7a781b00b55ab51fd65c9b848"],
+    ("elastic_chaos", 2): ["60d49bc84e0e56c9722dc7ec7370eda4d0e93d134abab7a818591c5a5e735a02"],
+    ("elastic_chaos", 3): ["bc1e732a520de5274f62ab85cf3770016437b19aa094bbaa431f5af9db044717"],
 }
 
 
