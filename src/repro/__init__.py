@@ -49,7 +49,7 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.api.deployment import Deployment
 from repro.api.spec import DeploymentSpec, SpecValidationError
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "Autoscaler",

@@ -1,7 +1,7 @@
 """Federated multi-cluster scheduling: many HEATS shards, one scheduler.
 
-PR 1's serving front-end still landed every request on a single cluster;
-this package adds the layer above it the ROADMAP north star asks for:
+A single-cluster deployment lands every request on one HEATS cluster;
+this package adds the layer above it:
 
 * :mod:`repro.federation.policy`     -- shard profiles (regional energy
   price), federation tunables, and the cheap aggregate shard score.
@@ -9,10 +9,11 @@ this package adds the layer above it the ROADMAP north star asks for:
   cluster with its own HEATS scheduler, profiling seed, config copy, and
   prediction-score cache.
 * :mod:`repro.federation.federation` -- :class:`FederatedScheduler`
-  (two-level placement, tenant affinity, cross-shard migration),
-  :class:`FederatedCluster` (the union view the simulator drives), and
-  the :class:`Federation` (topology plus routing) that a deployment spec
-  with ``topology.shards > 1`` builds behind ``LegatoSystem().deploy``.
+  (two-level placement, tenant affinity, cross-shard migration) and the
+  :class:`Federation` (topology plus routing) that a deployment spec with
+  ``topology.shards > 1`` builds behind ``LegatoSystem().deploy``.  The
+  federation's union cluster, the view the simulator drives, is a plain
+  :class:`~repro.scheduler.cluster.Cluster` over the shards' nodes.
 """
 
 from repro.federation.policy import (
@@ -24,7 +25,6 @@ from repro.federation.policy import (
 )
 from repro.federation.shard import ClusterShard
 from repro.federation.federation import (
-    FederatedCluster,
     FederatedScheduler,
     Federation,
     FederationStats,
@@ -33,7 +33,6 @@ from repro.federation.federation import (
 __all__ = [
     "ClusterShard",
     "DEFAULT_SHARD_PROFILES",
-    "FederatedCluster",
     "FederatedScheduler",
     "Federation",
     "FederationConfig",

@@ -13,10 +13,12 @@ saturated shards into shards with headroom.
 
 :class:`FederatedScheduler` implements the same ``SchedulerProtocol`` the
 discrete-event :class:`~repro.scheduler.simulation.ClusterSimulator`
-drives, over a :class:`FederatedCluster` that unions the shard clusters
-(sharing node objects, so both views stay incrementally indexed).  The
-whole simulator machinery -- queueing, completions, migration accounting,
-energy -- therefore works unchanged on a federation.
+drives, over a plain :class:`~repro.scheduler.cluster.Cluster` that
+unions the shard clusters (sharing node objects, so both views stay
+incrementally indexed).  The whole simulator machinery -- queueing,
+completions, migration accounting, energy -- therefore works unchanged on
+a federation.  The shard clusters are the only record of which shard owns
+a node; the union holds no node -> shard map of its own.
 """
 
 from __future__ import annotations
@@ -86,86 +88,6 @@ class FederationStats:
         }
 
 
-class FederatedCluster(Cluster):
-    """The union view of all shard clusters.
-
-    Shares the shard clusters' node objects, so reservations made through
-    either view keep both capacity indices up to date (nodes notify every
-    subscribed cluster).  The placement engine and simulator operate on
-    this view; the shard schedulers operate on their shard's view.  The
-    union index costs one extra listener update per reserve/release; it is
-    kept (rather than lazily skipped) so the union view stays a fully
-    functional ``Cluster`` for any consumer -- stale aggregates would be a
-    silent trap.
-    """
-
-    def __init__(self, shards: Sequence[ClusterShard]) -> None:
-        if not shards:
-            raise ValueError("a federation needs at least one shard")
-        super().__init__(
-            node for shard in shards for node in shard.cluster
-        )
-        self._shard_of_node: Dict[str, str] = {
-            node.name: shard.name for shard in shards for node in shard.cluster
-        }
-
-    def shard_of(self, node_name: str) -> str:
-        """Name of the shard that owns a node.
-
-        Args:
-            node_name: a node of any member shard.
-
-        Returns:
-            The owning shard's name.
-        """
-        if node_name not in self._shard_of_node:
-            raise KeyError(f"no shard owns node {node_name!r}")
-        return self._shard_of_node[node_name]
-
-    # ------------------------------------------------------------------ #
-    # Elastic membership (kept in lockstep with the federated scheduler)
-    # ------------------------------------------------------------------ #
-    def add_shard(self, shard: ClusterShard) -> None:
-        """Union in a new shard's nodes (elastic scale-up).
-
-        Args:
-            shard: the joining shard; node names must be federation-unique.
-        """
-        for node in shard.cluster:
-            self.add_node(node)
-            self._shard_of_node[node.name] = shard.name
-
-    def remove_shard(self, shard: ClusterShard) -> None:
-        """Drop a drained shard's nodes from the union (elastic scale-down).
-
-        Args:
-            shard: the departing shard; all of its nodes must be idle
-                (the drain hook migrates running tasks away first).
-        """
-        for node in list(shard.cluster):
-            self.remove_node(node.name)
-            del self._shard_of_node[node.name]
-
-    def attach_node(self, shard_name: str, node) -> None:
-        """Index a node grown into a member shard.
-
-        Args:
-            shard_name: the shard the node was grown into.
-            node: the new :class:`~repro.scheduler.cluster.ClusterNode`.
-        """
-        self.add_node(node)
-        self._shard_of_node[node.name] = shard_name
-
-    def detach_node(self, node_name: str) -> None:
-        """Drop a node shrunk out of a member shard.
-
-        Args:
-            node_name: the departing (idle) node.
-        """
-        self.remove_node(node_name)
-        del self._shard_of_node[node_name]
-
-
 class FederatedScheduler:
     """Two-level scheduler: shard selection, then in-shard HEATS placement."""
 
@@ -199,14 +121,14 @@ class FederatedScheduler:
         self.shards: List[ClusterShard] = list(shards)
         self._by_name: Dict[str, ClusterShard] = {s.name: s for s in self.shards}
         self.config = config if config is not None else FederationConfig()
-        self._node_shard: Dict[str, str] = {}
+        seen: Set[str] = set()
         for shard in self.shards:
             for node in shard.cluster:
-                if node.name in self._node_shard:
+                if node.name in seen:
                     raise ValueError(
                         f"node {node.name!r} appears in more than one shard"
                     )
-                self._node_shard[node.name] = shard.name
+                seen.add(node.name)
         self._affinity: Dict[str, str] = {}
         self._tenant_regions: Dict[str, str] = {}
         self._draining: Set[str] = set()
@@ -262,12 +184,10 @@ class FederatedScheduler:
         if shard.name in self._by_name:
             raise ValueError(f"shard {shard.name!r} is already a member")
         for node in shard.cluster:
-            if node.name in self._node_shard:
+            if any(node.name in member.cluster for member in self.shards):
                 raise ValueError(f"node {node.name!r} appears in more than one shard")
         self.shards.append(shard)
         self._by_name[shard.name] = shard
-        for node in shard.cluster:
-            self._node_shard[node.name] = shard.name
         self._rebuild_price_norm()
 
     def remove_shard(self, name: str) -> ClusterShard:
@@ -294,8 +214,6 @@ class FederatedScheduler:
             )
         self.shards.remove(shard)
         del self._by_name[name]
-        for node in shard.cluster:
-            del self._node_shard[node.name]
         self._draining.discard(name)
         self._pressures.pop(name, None)
         # Any pin still pointing at the removed shard would silently count
@@ -601,9 +519,7 @@ class FederatedScheduler:
         moved: Set[str] = set()
         by_shard: Dict[str, List[Placement]] = {}
         for placement in running:
-            shard_name = self._node_shard.get(placement.node)
-            if shard_name is not None:
-                by_shard.setdefault(shard_name, []).append(placement)
+            by_shard.setdefault(self.shard_of_node(placement.node), []).append(placement)
 
         for shard in self.shards:
             if shard.name in self._draining:
@@ -728,15 +644,19 @@ class FederatedScheduler:
     def shard_of_node(self, node_name: str) -> str:
         """Name of the shard owning a node.
 
+        The shard clusters are the only record of membership, so this asks
+        each of them in turn (a dict lookup per shard).
+
         Args:
             node_name: node of any member shard.
 
         Returns:
             The owning shard's name.
         """
-        if node_name not in self._node_shard:
-            raise KeyError(f"no shard owns node {node_name!r}")
-        return self._node_shard[node_name]
+        for shard in self.shards:
+            if node_name in shard.cluster:
+                return shard.name
+        raise KeyError(f"no shard owns node {node_name!r}")
 
 
 class Federation:
@@ -764,7 +684,13 @@ class Federation:
         """
         self.metrics = metrics
         self.scheduler = FederatedScheduler(shards, config=config, metrics=metrics)
-        self.cluster = FederatedCluster(self.scheduler.shards)
+        #: the union of the shard clusters, sharing their node objects so a
+        #: reservation through either view updates both capacity indices.
+        #: The simulator and placement engine drive this view; which shard
+        #: owns a node is asked of the shards (``scheduler.shard_of_node``).
+        self.cluster = Cluster(
+            node for shard in self.scheduler.shards for node in shard.cluster
+        )
         # Build parameters for shards added later by the autoscaler; the
         # defaults match ClusterShard.build and are overridden by build().
         self.seed_policy = SeedPolicy()
@@ -774,11 +700,6 @@ class Federation:
         self.default_cache_capacity: Optional[int] = None
         self.profile_catalogue: Tuple[ShardProfile, ...] = DEFAULT_SHARD_PROFILES
         self.next_shard_index = len(self.scheduler.shards)
-
-    @property
-    def base_seed(self) -> int:
-        """The seed policy's base (kept for pre-SeedPolicy callers)."""
-        return self.seed_policy.base
 
     @property
     def shards(self) -> List[ClusterShard]:
@@ -893,7 +814,8 @@ class Federation:
                 cache_capacity=self.default_cache_capacity,
             )
         self.scheduler.add_shard(shard)
-        self.cluster.add_shard(shard)
+        for node in shard.cluster:
+            self.cluster.add_node(node)
         self.next_shard_index += 1
         return shard
 
@@ -927,7 +849,8 @@ class Federation:
         if shard.has_running_tasks():
             return None
         removed = self.scheduler.remove_shard(shard_name)
-        self.cluster.remove_shard(removed)
+        for node in removed.cluster:
+            self.cluster.remove_node(node.name)
         return removed
 
     def grow_node(self, shard_name: str, model: str) -> str:
@@ -941,8 +864,7 @@ class Federation:
             The new node's name.
         """
         node = self.scheduler.shard(shard_name).grow_node(model)
-        self.cluster.attach_node(shard_name, node)
-        self.scheduler._node_shard[node.name] = shard_name
+        self.cluster.add_node(node)
         return node.name
 
     def shrink_node(self, shard_name: str, node_name: Optional[str] = None) -> Optional[str]:
@@ -968,10 +890,10 @@ class Federation:
         # Shard first: it validates membership, idleness, and the
         # one-node floor before anything is mutated; only then does the
         # union view (which cannot fail on a node the shard just released)
-        # drop it, so an invalid request never splits the two indices.
+        # drop it, so an invalid request never leaves the shard and the
+        # union disagreeing about the node.
         shard.release_node(node_name)
-        self.cluster.detach_node(node_name)
-        del self.scheduler._node_shard[node_name]
+        self.cluster.remove_node(node_name)
         return node_name
 
     def reprice_shard(self, shard_name: str, energy_price_per_kwh: float) -> float:

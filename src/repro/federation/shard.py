@@ -61,7 +61,6 @@ class ClusterShard:
         index: int,
         profile: ShardProfile,
         scale: int = 1,
-        base_seed: int = 7,
         heats_config: Optional[HeatsConfig] = None,
         use_score_cache: bool = True,
         noise_fraction: float = 0.05,
@@ -76,18 +75,17 @@ class ClusterShard:
                 node-name prefix and the derived profiling seed.
             profile: regional profile assigned to the shard.
             scale: ``heats_testbed`` scale (4 * scale nodes per shard).
-            base_seed: federation-level seed; ignored when ``seed_policy``
-                is given, otherwise wrapped as ``SeedPolicy(base=...)``.
             heats_config: scheduler tunables; *copied* per shard so no two
                 shards ever share a config object.
             use_score_cache: attach a per-shard prediction-score cache.
             noise_fraction: profiling measurement noise.
             metrics: optional shared telemetry bus; shard schedulers
                 aggregate their placement signals into it.
-            seed_policy: the deployment's seed-derivation rules; the shard
-                profiles with ``seed_policy.shard_seed(index)`` so shards
-                draw from disjoint noise streams instead of replaying
-                identical measurements.
+            seed_policy: the deployment's seed-derivation rules (default
+                ``SeedPolicy()``); the shard profiles with
+                ``seed_policy.shard_seed(index)`` so shards draw from
+                disjoint noise streams instead of replaying identical
+                measurements.
             cache_capacity: LRU bound of the score cache; None keeps the
                 cache's own default.
 
@@ -96,7 +94,7 @@ class ClusterShard:
         """
         if index < 0:
             raise ValueError("shard index must be non-negative")
-        policy = seed_policy if seed_policy is not None else SeedPolicy(base=base_seed)
+        policy = seed_policy if seed_policy is not None else SeedPolicy()
         seed = policy.shard_seed(index)
         cluster = Cluster.heats_testbed(scale=scale, prefix=f"shard{index}")
         config = replace(heats_config) if heats_config is not None else HeatsConfig()

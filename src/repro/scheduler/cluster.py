@@ -697,6 +697,10 @@ class Cluster:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def __contains__(self, name: object) -> bool:
+        """Whether a node of this name is a member (``name in cluster``)."""
+        return name in self._nodes
+
     def feasible_node_names(self, cores: int, memory_gib: float) -> CandidateNames:
         """Names of the nodes able to host a request, in insertion order.
 

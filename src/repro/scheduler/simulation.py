@@ -377,13 +377,14 @@ class ClusterSimulator:
     # Tracing seams (only reached when ``self._trace`` is set)
     # ------------------------------------------------------------------ #
     def _trace_shard(self, node_name: str) -> Optional[str]:
-        """Shard name hosting ``node_name`` (None for single clusters)."""
+        """Shard name hosting ``node_name`` (None for single clusters).
+
+        Every node a federated run places on belongs to a shard, so a
+        lookup miss is a membership bug and raises ``KeyError``.
+        """
         if self._shard_lookup is None:
             return None
-        try:
-            return self._shard_lookup(node_name)
-        except KeyError:
-            return None
+        return self._shard_lookup(node_name)
 
     def _trace_arrival(self, request: TaskRequest) -> None:
         """Open the task root + pending spans at the arrival instant."""

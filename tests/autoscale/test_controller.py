@@ -50,7 +50,8 @@ class TestScaleUp:
         shard = federation.shards[0]
         new_node = [n for n in shard.cluster if "auto" in n.name][0]
         assert new_node.name in shard.scheduler.models
-        assert federation.cluster.shard_of(new_node.name) == shard.name
+        assert federation.scheduler.shard_of_node(new_node.name) == shard.name
+        assert new_node.name in federation.cluster
 
     def test_cooldown_blocks_consecutive_scale_ups(self):
         federation = build_federation()
@@ -237,7 +238,8 @@ class TestShrinkNodeSafety:
         # without touching either index.
         with pytest.raises(KeyError):
             federation.shrink_node(federation.shards[0].name, foreign.name)
-        assert federation.cluster.shard_of(foreign.name) == federation.shards[1].name
+        assert federation.scheduler.shard_of_node(foreign.name) == federation.shards[1].name
+        assert foreign.name in federation.cluster
         assert foreign.name in [n.name for n in federation.shards[1].cluster]
 
     def test_busy_node_shrink_refused_atomically(self):
@@ -247,5 +249,6 @@ class TestShrinkNodeSafety:
         with pytest.raises(ValueError, match="still running"):
             federation.shrink_node(federation.shards[0].name, node.name)
         # Both views still index the node.
-        assert federation.cluster.shard_of(node.name) == federation.shards[0].name
+        assert federation.scheduler.shard_of_node(node.name) == federation.shards[0].name
+        assert node.name in federation.cluster
         assert node.name in [n.name for n in federation.shards[0].cluster]

@@ -89,7 +89,7 @@ def test_scale_down_conserves_every_placed_task(shapes):
     # Drain the shard carrying the most work (the hardest case).
     by_shard = {}
     for task_id in placed:
-        shard = federation.cluster.shard_of(hosting_nodes(federation, task_id)[0])
+        shard = federation.scheduler.shard_of_node(hosting_nodes(federation, task_id)[0])
         by_shard.setdefault(shard, []).append(task_id)
     victim = max(federation.shards, key=lambda s: len(by_shard.get(s.name, []))).name
     federation.begin_drain(victim)
@@ -139,7 +139,7 @@ def test_queued_work_routes_around_a_draining_shard(shapes):
     engine = PlacementEngine(federation.cluster)
     placed = place_all(federation, engine, shapes)
     for task_id in placed:
-        host_shard = federation.cluster.shard_of(hosting_nodes(federation, task_id)[0])
+        host_shard = federation.scheduler.shard_of_node(hosting_nodes(federation, task_id)[0])
         assert host_shard != victim
 
 

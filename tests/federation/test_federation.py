@@ -10,7 +10,6 @@ from repro.core.seeding import SeedPolicy
 from repro.federation import (
     ClusterShard,
     Federation,
-    FederatedCluster,
     FederatedScheduler,
     FederationConfig,
     ShardProfile,
@@ -78,12 +77,22 @@ class TestFederationBuild:
         assert len(union) == sum(len(shard.cluster) for shard in federation.shards)
         for shard in federation.shards:
             for node in shard.cluster:
-                assert union.shard_of(node.name) == shard.name
+                assert federation.scheduler.shard_of_node(node.name) == shard.name
+                assert node.name in union
 
     def test_duplicate_node_names_rejected(self):
         shard = ClusterShard.build(0, ShardProfile("eu-north", 0.08))
         with pytest.raises(ValueError):
             FederatedScheduler([shard, shard])
+        # Same index, other region: a distinct shard name over the same
+        # node names, refused at construction and on admission alike.
+        twin = ClusterShard.build(0, ShardProfile("us-east", 0.12))
+        with pytest.raises(ValueError, match="more than one shard"):
+            FederatedScheduler([shard, twin])
+        scheduler = FederatedScheduler([shard])
+        with pytest.raises(ValueError, match="more than one shard"):
+            scheduler.add_shard(twin)
+        assert scheduler.shards == [shard]
 
     def test_shard_seeds_follow_the_seed_policy(self):
         federation = Federation.build(num_shards=3, seed=31)

@@ -6,12 +6,16 @@ scheduler's ``shard_of_node``, the rescheduling pass that hands running
 tasks to their shard's HEATS scheduler, the chaos actuator that reaps a
 failed node, the shard retirement in ``finalize_drain``, and the
 simulator's trace spans the live console tiles are built from.  One test
-per consumer.
+per consumer, plus a property over random elastic histories: the shard
+clusters are the only record of membership, and every view agrees with
+them.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import (
     AutoscaleSpec,
@@ -20,9 +24,13 @@ from repro.api import (
     TelemetrySpec,
     TopologySpec,
 )
-from repro.hardware.microserver import WorkloadKind
+from repro.federation import Federation
+from repro.hardware.microserver import MICROSERVER_CATALOG, WorkloadKind
 from repro.scenarios.chaos import FederationActuator
-from repro.scheduler.placement import PlacementEngine
+from repro.scheduler.cluster import Cluster
+from repro.scheduler.heats import HeatsScheduler
+from repro.scheduler.placement import Placement, PlacementEngine
+from repro.scheduler.simulation import ClusterSimulator
 from repro.scheduler.workload import TaskRequest
 from repro.serving import ServingWorkload, Tenant
 from repro.telemetry.console import build_frames
@@ -91,6 +99,27 @@ def test_actuator_reaps_an_idle_grown_node(grown):
     assert node not in {n.name for n in federation.scheduler.shard(shard).cluster}
 
 
+def test_a_node_no_shard_owns_is_a_loud_miss(grown):
+    """Every placed node has a shard, so a lookup miss raises, never skips."""
+    federation, shard, node = grown
+    simulator = ClusterSimulator(federation.cluster, federation.scheduler)
+    assert simulator._trace_shard(node) == shard
+    with pytest.raises(KeyError):
+        simulator._trace_shard("ghost")
+    request = TaskRequest(
+        task_id="lost", arrival_s=0.0, workload=WorkloadKind.SCALAR,
+        gops=50.0, cores=1, memory_gib=0.5,
+    )
+    with pytest.raises(KeyError):
+        federation.scheduler.reschedule(
+            [Placement(request, "ghost", 0.0, 10.0)], federation.cluster, 10.0
+        )
+    # A single cluster has no shard notion: its spans name no shard.
+    cluster = Cluster.heats_testbed(scale=1)
+    single = ClusterSimulator(cluster, HeatsScheduler.with_learned_models(cluster))
+    assert single._trace_shard(cluster.nodes[0].name) is None
+
+
 def test_traced_spans_on_grown_nodes_name_their_shard():
     """Console tiles count grown-node tasks in the shard that owns the node.
 
@@ -153,3 +182,60 @@ def test_traced_spans_on_grown_nodes_name_their_shard():
         for frame in frames
     ]
     assert any(grown_running)
+
+
+#: one elastic operation: (kind, shard pick, catalogue model pick).
+elastic_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["add_shard", "grow", "shrink", "drain", "cancel"]),
+        st.integers(min_value=0, max_value=7),
+        st.sampled_from(sorted(MICROSERVER_CATALOG)),
+    ),
+    max_size=16,
+)
+
+
+@given(elastic_steps)
+@settings(max_examples=30, deadline=None)
+def test_membership_follows_the_shard_clusters(steps):
+    federation = Federation.build(num_shards=2, shard_scale=1, seed=5)
+    scheduler = federation.scheduler
+    expected = {
+        node.name: shard.name for shard in federation.shards for node in shard.cluster
+    }
+    gone = set()
+    for kind, pick, model in steps:
+        shard = federation.shards[pick % len(federation.shards)].name
+        if kind == "add_shard":
+            if len(federation.shards) < 4:
+                added = federation.add_shard()
+                expected.update((node.name, added.name) for node in added.cluster)
+        elif kind == "grow":
+            expected[federation.grow_node(shard, model)] = shard
+        elif kind == "shrink":
+            removed = federation.shrink_node(shard)
+            if removed is not None:
+                del expected[removed]
+                gone.add(removed)
+        elif len(federation.shards) > 1:
+            federation.begin_drain(shard)
+            if kind == "cancel":
+                federation.cancel_drain(shard)
+            else:
+                retired = federation.finalize_drain(shard)
+                assert retired is not None
+                for name in [n for n, owner in expected.items() if owner == shard]:
+                    del expected[name]
+                    gone.add(name)
+
+        per_shard = [node.name for s in federation.shards for node in s.cluster]
+        assert len(per_shard) == len(set(per_shard))  # disjoint
+        assert {node.name for node in federation.cluster} == set(per_shard)
+        assert set(per_shard) == set(expected)
+        for name, owner in expected.items():
+            assert scheduler.shard_of_node(name) == owner
+            assert name in federation.cluster
+        for name in gone - set(expected):
+            assert name not in federation.cluster
+            with pytest.raises(KeyError):
+                scheduler.shard_of_node(name)
