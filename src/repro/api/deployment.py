@@ -16,13 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.api.backend import Backend
 from repro.api.spec import DeploymentSpec
 from repro.scheduler.modeling import profiling_run_count
 from repro.serving.loop import ServingReport, ServingWorkload
 from repro.serving.sla import percentile
 from repro.telemetry.registry import MetricsRegistry, MetricsSnapshot
-from repro.telemetry.trace import Tracer
+from repro.telemetry.trace import SpanTable, Tracer
 
 #: session-counter names recorded on every deployment's bus.
 SERVE_RUNS_METRIC = "deployment.serve_runs"
@@ -268,15 +270,16 @@ class Deployment:
             # When the run was traced, bucket span *end* instants into the
             # same windows so each tick carries its per-stage activity.
             traced = report.trace_spans is not None
-            stage_events: List[Tuple[float, str]] = (
-                sorted(
-                    (span.end_s, span.name)
-                    for span in report.trace_spans
-                    if span.end_s is not None
+            stage_events: List[Tuple[float, str]] = []
+            if traced:
+                table = SpanTable.of(report.trace_spans)
+                ended = np.flatnonzero(~np.isnan(table.ends))
+                stage_events = sorted(
+                    zip(
+                        table.ends[ended].tolist(),
+                        map(table.names.__getitem__, table.name_codes[ended].tolist()),
+                    )
                 )
-                if traced
-                else []
-            )
             stage_pos = 0
             horizon = max(
                 report.horizon_s,

@@ -11,9 +11,10 @@ For every pending task HEATS:
 4. deploys the task on the best-fitting node.
 
 Every ``rescheduling_interval_s`` the same evaluation re-runs for all running
-tasks; when a better fit than the current host is found (by more than a
-hysteresis margin, so marginal improvements do not cause migration churn),
-the task is migrated to the new host.
+tasks, on each task's full original request (not the work it has left);
+when a node scores better than the current host by more than a hysteresis
+margin, so marginal improvements do not cause migration churn, the task is
+migrated to it.  The migration's downtime does not enter the comparison.
 """
 
 from __future__ import annotations
@@ -271,8 +272,11 @@ class HeatsScheduler:
 
         A migration is proposed when the best alternative node scores better
         than the current host by more than the configured threshold.  The
-        current host is always part of the comparison, scored on the
-        *remaining* work, so short-remaining tasks naturally stay put.
+        current host is always part of the comparison.  Every node, the
+        current host included, is scored on the task's full original
+        request (``placement.request``), not on the work it has left, and
+        the downtime a migration costs is not priced: a task close to
+        finishing moves as readily as one that has just started.
         """
         migrations: List[Tuple[str, str]] = []
         for placement in running:

@@ -41,19 +41,27 @@ from repro.serving.gateway import (
     _ADMISSION_OUTCOMES,
     _ADMITTED,
     _REJECTED_UNKNOWN_TENANT,
-    AdmissionDecision,
     RequestGateway,
     ServingRequest,
     Tenant,
 )
 from repro.serving.sla import SlaTracker, TenantSlaReport, percentiles
-from repro.telemetry.trace import Span, Tracer, TraceSummary, summarize_trace
+from repro.telemetry.trace import SpanTable, Tracer, TraceSummary, summarize_trace
 
 _ARRIVAL = attrgetter("arrival_s")
 _TENANT = attrgetter("tenant")
+_REQUEST_ID = attrgetter("request_id")
 _FINISH = attrgetter("finish_s")
 _TASK_ID = attrgetter("task_id")
+_BATCH_ID = attrgetter("batch_id")
+_FLUSHED = attrgetter("flushed_s")
 _ENERGY = attrgetter("energy_j")
+
+#: the spans of a request's own trace, by name code in the loop's bulk writes.
+_ROOT, _GATEWAY, _BATCH_WAIT = range(3)
+_REQUEST_SPANS = ("request", "request.gateway", "request.batch_wait")
+#: the verdict of a rejected request's root, per admission outcome code.
+_VERDICTS = tuple(decision.value for decision in _ADMISSION_OUTCOMES)
 
 
 def _groups(codes: np.ndarray) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
@@ -232,8 +240,9 @@ class ServingReport:
     #: :class:`~repro.autoscale.controller.AutoscaleReport`), else None.
     autoscale_report: Optional[object] = None
     #: request-scoped spans drained from the deployment's tracer after the
-    #: run; None when tracing was disabled (the pay-nothing default).
-    trace_spans: Optional[List[Span]] = None
+    #: run, as a read-only columnar sequence; None when tracing was
+    #: disabled (the pay-nothing default).
+    trace_spans: Optional[SpanTable] = None
     #: memoised (p50, p95, p99) over ``latencies_s`` -- the three
     #: percentile properties and ``summary()`` share one vectorised
     #: numpy pass instead of re-sorting the sample per read.
@@ -366,10 +375,9 @@ class ServingLoop:
         #: single cached boolean so every hot-path instrumentation site is
         #: one branch when tracing is off (pay-for-what-you-use).
         self._trace = tracer is not None and tracer.enabled
-        # Open spans keyed by request id, closed as requests cross seams.
-        self._request_roots: Dict[str, Span] = {}
-        self._gateway_spans: Dict[str, Span] = {}
-        self._batch_wait_spans: Dict[str, Span] = {}
+        #: per admitted row, the span ids of its ``request`` root and its
+        #: ``request.batch_wait`` span; set by ``_ingest`` when tracing.
+        self._root_ids = self._wait_ids = np.empty(0, dtype=np.int64)
         #: last arrival of the stream, set by ``_ingest``; the horizon's floor.
         self._arrivals_end_s = 0.0
         #: the admitted rows in add order (tenant codes in registration
@@ -431,9 +439,7 @@ class ServingLoop:
         if count:
             adds_s[positions == bins[-1] + 1] = end
         if self._trace:
-            self._trace_front_half(
-                ordered, outcomes, bins, admitted[drained].tolist(), adds_s[drained].tolist()
-            )
+            self._trace_front_half(ordered, arrivals, outcomes, bins, admitted, sequence, adds_s)
         del ordered, outcomes, bins, drained
         self._rows = _Rows(
             requests, tenants[admitted].astype(np.min_scalar_type(len(self.gateway.tenants)))
@@ -481,82 +487,106 @@ class ServingLoop:
     # ------------------------------------------------------------------ #
     # Tracing seams (only reached when ``self._trace`` is set)
     # ------------------------------------------------------------------ #
-    def _trace_admission(self, request: ServingRequest, decision: AdmissionDecision) -> None:
-        """Open the request root span; rejections terminate immediately."""
-        root = self.tracer.start_span(
-            "request", request.arrival_s, request.request_id, tenant=request.tenant
-        )
-        if decision.admitted:
-            self._request_roots[request.request_id] = root
-            self._gateway_spans[request.request_id] = self.tracer.start_span(
-                "request.gateway", request.arrival_s, request.request_id, parent=root
-            )
-        else:
-            root.annotate("terminal", True)
-            root.end(request.arrival_s, verdict=decision.value)
-
     def _trace_front_half(
         self,
         ordered: Sequence[ServingRequest],
+        arrivals: np.ndarray,
         outcomes: np.ndarray,
         bins: np.ndarray,
-        added: List[int],
-        adds_s: List[float],
+        admitted: np.ndarray,
+        sequence: np.ndarray,
+        adds_s: np.ndarray,
     ) -> None:
-        """Open the front half's spans in the order a tick-by-tick walk opens them.
+        """Open the front half's spans in bulk, ids in a tick-by-tick walk's order.
 
-        Per tick bin the stream touches: first the hand-over of the
-        admissions of earlier bins (drained at the tick the walk crossed
-        into this bin), then this bin's admissions in arrival order; the
-        last bin's hand-over comes last.
+        Per tick bin the stream touches, the walk first hands over the
+        admissions of earlier bins (drained at the tick it crossed into
+        this bin), then offers this bin's requests in arrival order; the
+        last bin's hand-over comes last.  An offer opens the request's
+        root (closed at once on rejection) and, when admitted, its gateway
+        span; a hand-over closes the gateway span and opens the batch
+        wait.  So hand-over ``k`` of the drain order comes just before the
+        offer of the first request of a later bin, and each span's id is
+        a count of the spans opened before it.
+
+        Args:
+            ordered: the stream in replay order, with ``arrivals``,
+                admission ``outcomes`` and tick ``bins`` per request.
+            admitted: the admitted requests' rows in ``ordered``.
+            sequence: per admitted request, its place in the drain order.
+            adds_s: per admitted request, its hand-over instant.
         """
-        bounds = np.flatnonzero(np.diff(bins, prepend=-1)).tolist() + [len(ordered)]
-        bins = bins.tolist()
-        handed = 0
-        for step in range(len(bounds) - 1):
-            first = bounds[step]
-            while handed < len(added) and bins[added[handed]] < bins[first]:
-                self._trace_hand_over(ordered[added[handed]], adds_s[handed])
-                handed += 1
-            for row in range(first, bounds[step + 1]):
-                self._trace_admission(ordered[row], _ADMISSION_OUTCOMES[outcomes[row]])
-        for row, add_s in zip(added[handed:], adds_s[handed:]):
-            self._trace_hand_over(ordered[row], add_s)
+        count = len(ordered)
+        handed = np.empty(len(admitted), dtype=np.int64)
+        handed[sequence] = admitted
+        handed_at = np.searchsorted(bins, bins[handed], side="right")
+        opened = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(1 + (outcomes == _ADMITTED), out=opened[1:])
+        root = opened[:-1] + np.searchsorted(handed_at, np.arange(count), side="right")
+        gateway = root[admitted] + 1
+        wait = (opened[handed_at] + np.arange(len(admitted)))[sequence]
 
-    def _trace_hand_over(self, admitted: ServingRequest, now: float) -> None:
-        """Close an admission's gateway span and open its batch-wait span at ``now``."""
-        gate = self._gateway_spans.pop(admitted.request_id, None)
-        if gate is not None:
-            gate.end(now)
-        self._batch_wait_spans[admitted.request_id] = self.tracer.start_span(
-            "request.batch_wait",
-            now,
-            admitted.request_id,
-            parent=self._request_roots.get(admitted.request_id),
+        total = count + 2 * len(admitted)
+        name = np.full(total, _ROOT)
+        name[gateway] = _GATEWAY
+        name[wait] = _BATCH_WAIT
+        trace = np.empty(total, dtype=np.int64)
+        trace[root] = np.arange(count)
+        trace[gateway] = trace[wait] = admitted
+        start = np.empty(total)
+        start[root] = arrivals
+        start[gateway] = arrivals[admitted]
+        start[wait] = adds_s
+        parent = np.full(total, -1)
+        parent[gateway] = parent[wait] = root[admitted]
+        tracer = self.tracer
+        ids = tracer.open_spans(
+            _REQUEST_SPANS, name, list(map(_REQUEST_ID, ordered)), trace, start, parent
         )
+        tracer.annotate_spans(ids[root], tenant=(np.arange(count), list(map(_TENANT, ordered))))
+        rejected = np.flatnonzero(outcomes != _ADMITTED)
+        tracer.close_spans(
+            ids[root[rejected]],
+            arrivals[rejected],
+            terminal=(np.zeros(len(rejected), dtype=np.int64), (True,)),
+            verdict=(outcomes[rejected], _VERDICTS),
+        )
+        tracer.close_spans(ids[gateway], adds_s)
+        self._root_ids = ids[root[admitted]]
+        self._wait_ids = ids[wait]
 
     def _trace_flushes(self, batches: Sequence[Batch]) -> None:
         """Close every member's batch-wait span at its batch's flush instant."""
-        for batch in batches:
-            for member in batch.requests:
-                span = self._batch_wait_spans.pop(member.request_id, None)
-                if span is not None:
-                    span.end(batch.flushed_s, batch_id=batch.batch_id)
+        sizes, members = _member_rows(batches)
+        flushed = np.fromiter(map(_FLUSHED, batches), dtype=float, count=len(batches))
+        self.tracer.close_spans(
+            self._wait_ids[members],
+            np.repeat(flushed, sizes),
+            batch_id=(np.repeat(np.arange(len(batches)), sizes), list(map(_BATCH_ID, batches))),
+        )
 
-    def _trace_completions(self, done, completed, hits, misses) -> None:
-        """Close every completed member's root span at its task's finish."""
-        outcomes = zip(hits.tolist(), misses.tolist())
-        for task, batch in zip(completed, done):
-            for member, (hit, miss) in zip(batch.requests, outcomes):
-                root = self._request_roots.pop(member.request_id, None)
-                if root is not None:
-                    root.annotate("terminal", True)
-                    root.end(
-                        task.finish_s,
-                        verdict="completed",
-                        task_id=task.task_id,
-                        deadline_met=True if hit else False if miss else None,
-                    )
+    def _trace_verdicts(
+        self, batches: Sequence[Batch], end_s: np.ndarray, verdict: str, task_ids, **notes
+    ) -> None:
+        """Close the root spans of the batches' members with one verdict.
+
+        Args:
+            batches: the batches, each standing for the task ``task_ids``
+                names; members are taken in batch order.
+            end_s: per member, its root's end.
+            verdict: the terminal verdict.
+            **notes: further annotations per member, as ``(codes, values)``.
+        """
+        sizes, members = _member_rows(batches)
+        every = np.zeros(len(members), dtype=np.int64)
+        self.tracer.close_spans(
+            self._root_ids[members],
+            end_s,
+            terminal=(every, (True,)),
+            verdict=(every, (verdict,)),
+            task_id=(np.repeat(np.arange(len(batches)), sizes), task_ids),
+            **notes,
+        )
 
     def _to_task_requests(self, batches: Sequence[Batch]) -> List[TaskRequest]:
         """One task per batch, in (arrival, task id) order: ids compare as strings."""
@@ -680,22 +710,26 @@ class ServingLoop:
             chain.from_iterable(map(repeat, map(_FINISH, completed), sizes.tolist()))
         )
         if self._trace:
-            self._trace_completions(done, completed, hits, misses)
+            finish = np.fromiter(map(_FINISH, completed), dtype=float, count=len(done))
+            # deadline_met per member: None, True (hit) or False (miss).
+            self._trace_verdicts(
+                done, np.repeat(finish, sizes), "completed", list(map(_TASK_ID, completed)),
+                deadline_met=(hits + 2 * misses, (None, True, False)),
+            )
         dropped = 0
         for task_id in simulation.unplaced:
             batch = by_task_id[task_id]
             self.tracker.record_dropped(batch.key[0], batch.size)
             dropped += batch.size
-            if self._trace:
-                for member in batch.requests:
-                    root = self._request_roots.pop(member.request_id, None)
-                    if root is not None:
-                        root.annotate("terminal", True)
-                        root.end(
-                            max(horizon, root.start_s),
-                            verdict="dropped",
-                            task_id=task_id,
-                        )
+        if self._trace:
+            unplaced = list(map(by_task_id.__getitem__, simulation.unplaced))
+            arrivals = self._row_arrivals[_member_rows(unplaced)[1]]
+            self._trace_verdicts(
+                unplaced,
+                np.where(arrivals > horizon, arrivals, horizon),
+                "dropped",
+                list(simulation.unplaced),
+            )
         # Totals come from the tracker (which saw every offer, including
         # unknown-tenant rejections the gateway keeps no stats for), so the
         # overall numbers always agree with the per-tenant reports.

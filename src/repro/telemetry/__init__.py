@@ -16,7 +16,8 @@ recording side down:
   for benchmark result files, JSON Lines feeds for dashboards, in-memory
   history for tests/controllers.
 * :mod:`repro.telemetry.trace`    -- request-scoped spans on the simulated
-  clock: per-deployment :class:`Tracer` with a no-op mode, stage
+  clock: per-deployment :class:`Tracer` (a columnar :class:`SpanTable`
+  underneath) with a no-op mode, stage
   summaries with critical-path attribution via :func:`summarize_trace`.
 * :mod:`repro.telemetry.console`  -- the live deployment console: per-shard
   tiles over ``serve_iter()`` ticks rendered as ANSI blocks or a
@@ -39,6 +40,7 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.trace import (
     Span,
+    SpanTable,
     StageStats,
     Tracer,
     TraceSummary,
@@ -68,6 +70,7 @@ __all__ = [
     "RingBuffer",
     "ShardTile",
     "Span",
+    "SpanTable",
     "StageStats",
     "TextExporter",
     "Tracer",

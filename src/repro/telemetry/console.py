@@ -30,6 +30,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.telemetry.trace import SpanTable
+
 __all__ = [
     "ConsoleFrame",
     "LiveConsole",
@@ -244,54 +248,73 @@ def build_frames(
     sla_marks: List[Tuple[float, bool]] = []
     autoscale_events: List[Tuple[float, Dict[str, object]]] = []
     if traced:
-        execs_by_trace: Dict[str, List[object]] = {}
-        task_roots: List[object] = []
-        for span in spans:
-            name = span.name
-            if name == "task.execute":
-                shard = span.annotations.get("shard") or CLUSTER_TILE
-                if shard not in exec_starts:
-                    shard = shard_names[0]
-                exec_starts[shard].append(span.start_s)
-                if span.end_s is not None:
-                    exec_ends[shard].append(span.end_s)
-                execs_by_trace.setdefault(span.trace_id, []).append(span)
-            elif name == "task.pending":
-                pend_starts.append(span.start_s)
-                if span.end_s is not None:
-                    pend_ends.append(span.end_s)
-            elif name == "task":
-                if span.end_s is not None and (
-                    span.annotations.get("verdict") == "completed"
-                ):
-                    task_roots.append(span)
-            elif name == "request":
-                met = span.annotations.get("deadline_met")
-                if met is not None and span.end_s is not None:
-                    sla_marks.append((span.end_s, bool(met)))
-            elif name.startswith("autoscale."):
-                autoscale_events.append(
-                    (
-                        span.start_s,
-                        {
-                            "time_s": span.start_s,
-                            "action": name[len("autoscale.") :],
-                            "target": span.annotations.get("target"),
-                            "reason": span.annotations.get("reason"),
-                        },
-                    )
-                )
+        table = SpanTable.of(spans)
+        codes, starts_s, ends_s = table.name_codes, table.starts, table.ends
+        ended = ~np.isnan(ends_s)
+
+        def named(name: str, closed: bool = False) -> np.ndarray:
+            mask = codes == table.code_of(name)
+            return np.flatnonzero(mask & ended if closed else mask)
+
         # A completed task's *last* execute segment carries the shard the
         # completion happened on (earlier segments end at migrations).
-        for root in task_roots:
-            segments = execs_by_trace.get(root.trace_id)
-            shard = CLUSTER_TILE
-            if segments:
-                final = max(segments, key=lambda s: s.end_s or s.start_s)
-                shard = final.annotations.get("shard") or CLUSTER_TILE
+        # Segments rank by end (by start while open, or at a 0.0 end).
+        final: Dict[object, Tuple[float, str]] = {}
+        execute = named("task.execute")
+        for trace, start, end, shard in zip(
+            table.trace_codes[execute].tolist(),
+            starts_s[execute].tolist(),
+            ends_s[execute].tolist(),
+            table.annotation("shard", execute),
+        ):
+            shard = shard or CLUSTER_TILE
+            rank = end if end == end and end else start
+            if trace not in final or rank > final[trace][0]:
+                final[trace] = (rank, shard)
             if shard not in exec_starts:
                 shard = shard_names[0]
-            completions.append((root.end_s, shard))
+            exec_starts[shard].append(start)
+            if end == end:
+                exec_ends[shard].append(end)
+        pending = named("task.pending")
+        pend_starts = starts_s[pending].tolist()
+        pend_ends = ends_s[pending[ended[pending]]].tolist()
+        tasks = named("task", closed=True)
+        for trace, end, verdict in zip(
+            table.trace_codes[tasks].tolist(),
+            ends_s[tasks].tolist(),
+            table.annotation("verdict", tasks),
+        ):
+            if verdict == "completed":
+                shard = final[trace][1] if trace in final else CLUSTER_TILE
+                if shard not in exec_starts:
+                    shard = shard_names[0]
+                completions.append((end, shard))
+        requests = named("request", closed=True)
+        for end, met in zip(ends_s[requests].tolist(), table.annotation("deadline_met", requests)):
+            if met is not None:
+                sla_marks.append((end, bool(met)))
+        actions = [
+            code for code, name in enumerate(table.names) if name.startswith("autoscale.")
+        ]
+        autoscale = np.flatnonzero(np.isin(codes, actions))
+        for code, start, target, reason in zip(
+            codes[autoscale].tolist(),
+            starts_s[autoscale].tolist(),
+            table.annotation("target", autoscale),
+            table.annotation("reason", autoscale),
+        ):
+            autoscale_events.append(
+                (
+                    start,
+                    {
+                        "time_s": start,
+                        "action": table.names[code][len("autoscale."):],
+                        "target": target,
+                        "reason": reason,
+                    },
+                )
+            )
         for starts in exec_starts.values():
             starts.sort()
         for ends in exec_ends.values():

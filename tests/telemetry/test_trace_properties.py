@@ -27,7 +27,8 @@ from repro.scheduler.heats import HeatsScheduler
 from repro.scheduler.modeling import ProfilingCampaign
 from repro.serving import BatchPolicy, RequestGateway, ServingLoop, Tenant
 from repro.serving.gateway import ServingRequest
-from repro.telemetry import Tracer
+from repro.telemetry import Tracer, TraceSummary, summarize_trace
+from repro.telemetry.trace import REQUEST_STAGES, TASK_STAGES, _stage_stats
 
 #: learned models fitted once; every example replays on a fresh cluster.
 MODELS = ProfilingCampaign(Cluster.heats_testbed(scale=1), seed=7).run().fit()
@@ -153,3 +154,98 @@ def test_span_counts_conserved_across_replays(params):
         )
 
     assert terminal_verdicts(first) == terminal_verdicts(second)
+
+
+def _reference_summary(spans):
+    """The span-by-span walk ``summarize_trace`` replaced, kept as its oracle."""
+    durations_by_stage = {}
+    verdicts = {}
+    open_spans = 0
+    by_trace = {}
+    request_roots = []
+    for span in spans:
+        if not span.ended:
+            open_spans += 1
+            continue
+        durations_by_stage.setdefault(span.name, []).append(span.duration_s)
+        by_trace.setdefault(span.trace_id, []).append(span)
+        if span.name == "request" and span.annotations.get("terminal"):
+            request_roots.append(span)
+            verdict = str(span.annotations.get("verdict", "unknown"))
+            verdicts[verdict] = verdicts.get(verdict, 0) + 1
+
+    path_totals = {}
+    grand_total = 0.0
+    for root in request_roots:
+        if root.annotations.get("verdict") != "completed":
+            continue
+        total = root.duration_s
+        grand_total += total
+        covered = 0.0
+        task_id = root.annotations.get("task_id")
+        linked = by_trace.get(task_id, []) if task_id is not None else []
+        for stages, trace in ((REQUEST_STAGES, by_trace.get(root.trace_id, [])),
+                              (TASK_STAGES, linked)):
+            for span in trace:
+                if span.name in stages:
+                    path_totals[span.name] = path_totals.get(span.name, 0.0) + span.duration_s
+                    covered += span.duration_s
+        remainder = total - covered
+        if remainder > 1e-9:
+            path_totals["other"] = path_totals.get("other", 0.0) + remainder
+
+    critical_path = {}
+    if grand_total > 0.0:
+        critical_path = {
+            stage: total / grand_total for stage, total in path_totals.items() if total > 0.0
+        }
+    return TraceSummary(
+        stages={
+            name: _stage_stats(name, np.asarray(durations))
+            for name, durations in durations_by_stage.items()
+        },
+        critical_path=critical_path,
+        verdicts=verdicts,
+        span_count=len(spans),
+        open_spans=open_spans,
+    )
+
+
+@given(workload_params)
+@settings(max_examples=15, deadline=None)
+def test_columnar_summary_matches_the_span_walk_on_serving_runs(params):
+    report = _traced_run(_requests(*params))
+    assert report.trace_summary() == _reference_summary(list(report.trace_spans))
+
+
+#: one synthetic span: name, trace, start, duration (None: left open),
+#: and the root annotations terminal, verdict and task_id.
+synthetic_spans = st.lists(
+    st.tuples(
+        st.sampled_from(("request",) + REQUEST_STAGES + ("task",) + TASK_STAGES
+                        + ("autoscale.grow_node",)),
+        st.sampled_from(["r0", "r1", "r2", "t0", "t1"]),
+        st.floats(min_value=-1.0, max_value=50.0),
+        st.one_of(st.none(), st.just(0.0), st.floats(min_value=0.0, max_value=20.0)),
+        st.sampled_from([None, True, False]),
+        st.sampled_from([None, "completed", "dropped", "rejected_rate_limit"]),
+        st.sampled_from([None, "t0", "t1", "r1", "ghost"]),
+    ),
+    max_size=40,
+)
+
+
+@given(synthetic_spans)
+@settings(max_examples=200, deadline=None)
+def test_columnar_summary_matches_the_span_walk_on_any_trace(specs):
+    """Shared task traces, open spans, stray verdicts and zero-length stages."""
+    tracer = Tracer()
+    for name, trace, start, duration, terminal, verdict, task_id in specs:
+        notes = {key: value for key, value in (
+            ("terminal", terminal), ("verdict", verdict), ("task_id", task_id)
+        ) if value is not None}
+        span = tracer.start_span(name, start, trace, **notes)
+        if duration is not None:
+            span.end(start + duration)
+    table = tracer.drain()
+    assert summarize_trace(table) == _reference_summary(list(table))
