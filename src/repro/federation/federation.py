@@ -872,21 +872,27 @@ class Federation:
 
         Args:
             shard_name: the shard to shrink.
-            node_name: the node to remove; when None, the last fully idle
-                node is chosen via the shard's capacity index.
+            node_name: the node to remove; when None, a fully idle node is
+                chosen: while the shard holds grown nodes, only those, the
+                latest grown first; otherwise the last idle node in the
+                shard's capacity index.
 
         Returns:
-            The removed node's name, or None when the shard has no idle
-            node (or only one node) to give up.
+            The removed node's name, or None when the shard has no such
+            idle node (or only one node) to give up.
         """
         shard = self.scheduler.shard(shard_name)
         if node_name is None:
-            idle = shard.cluster.idle_nodes()
+            idle = [node.name for node in shard.cluster.idle_nodes()]
+            if shard.grown:
+                # Elastic growth is undone before the shard's original
+                # build population is touched, even when a grown node is
+                # busy and an original one idle.
+                idle_names = set(idle)
+                idle = [name for name in shard.grown if name in idle_names]
             if not idle or len(shard.cluster) <= 1:
                 return None
-            # Latest-added first: elastic growth is undone before the
-            # shard's original build population is touched.
-            node_name = idle[-1].name
+            node_name = idle[-1]
         # Shard first: it validates membership, idleness, and the
         # one-node floor before anything is mutated; only then does the
         # union view (which cannot fail on a node the shard just released)

@@ -11,7 +11,7 @@ serves).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.seeding import SeedPolicy
 from repro.federation.policy import ShardProfile
@@ -47,6 +47,9 @@ class ClusterShard:
     #: nodes grown into the shard since it was built (names/seeds derive
     #: from this counter so elastic additions stay unique and reproducible).
     grown_nodes: int = field(default=0)
+    #: names of the grown nodes still in the shard, oldest first; they go
+    #: before the shard's build population when it shrinks.
+    grown: List[str] = field(default_factory=list)
     #: the deployment-wide seed-derivation rules; elastic growth probes
     #: with ``seed_policy.probe_seed(seed, grown_nodes)``.
     seed_policy: SeedPolicy = field(default_factory=SeedPolicy)
@@ -158,6 +161,7 @@ class ClusterShard:
         self.scheduler.models.add(campaign.fit().model(node.name))
         self.cluster.add_node(node)
         self.grown_nodes += 1
+        self.grown.append(node.name)
         return node
 
     def release_node(self, name: str) -> ClusterNode:
@@ -171,6 +175,8 @@ class ClusterShard:
         """
         node = self.cluster.remove_node(name)
         self.scheduler.models.remove(name)
+        if name in self.grown:
+            self.grown.remove(name)
         return node
 
     # ------------------------------------------------------------------ #

@@ -50,7 +50,7 @@ from repro.serving import BatchPolicy, ServingWorkload, Tenant
 PRESET_GOLDENS = {
     "single": "067c90ac21e36ef767036c53af401d5bc2c2a8e9d3d897abca0d6eec0e454f6c",
     "federated": "e00ea993e1f0feefc1e08cf7891f8b3d6cee9b575ea2b13f097fbccab0455463",
-    "autoscaled": "cb320e827c9535bfcd17754eb618bdc1e629ba9899b9bad2ebc866d20230bb5c",
+    "autoscaled": "6b8582534b45e3132cfbb69d4d8454c8027eee1f3472fb66c632f3808a71d376",
 }
 # The score cache memoises HEATS scores and must change no outcome, so the
 # uncached variants of a preset keep that preset's digest.
@@ -59,7 +59,7 @@ VARIANT_GOLDENS = {
     "federated_migration_threshold":
         "c7309e750395e9e94e56cad1eccae8b789acbc7417f8608b77675aa23ff7ae28",
     "autoscaled_federated":
-        "87bc9077e69fb748c0870a1d2b35e2c535c2aeca862802ecfe29c9db905e5c8c",
+        "e712de2a2d1959c89aee418ac24868269647f46050c9760b998e7b3b344b143c",
     "uncached": PRESET_GOLDENS["single"],
     "federated_uncached": PRESET_GOLDENS["federated"],
 }

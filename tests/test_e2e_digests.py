@@ -55,9 +55,9 @@ DIGESTS = {
         "d796230e72f4b072cdbd1772f93558847ae4963f5bf152165c391164020c3565",
         "ecf7f679a6936e29a4a9e78e8d3a4aa88768776314db2295baa81ea5aa6bcfe0",
     ],
-    ("elastic_chaos", 1): ["678d0b4c6a0f3bc99d36f450bfb8c0e21179d8a7a781b00b55ab51fd65c9b848"],
-    ("elastic_chaos", 2): ["60d49bc84e0e56c9722dc7ec7370eda4d0e93d134abab7a818591c5a5e735a02"],
-    ("elastic_chaos", 3): ["bc1e732a520de5274f62ab85cf3770016437b19aa094bbaa431f5af9db044717"],
+    ("elastic_chaos", 1): ["d886bd149b653154041a4f0d763ad8289b08e86ac27f0cc06e1b7be4a75c64e3"],
+    ("elastic_chaos", 2): ["de3335d7e8dabfa42b93fbe83f2aebc395b558301b9f7cd3493f2eaa7a1c9741"],
+    ("elastic_chaos", 3): ["1226c78adef86bf9d44513bde603f7d50e09bb631afa944bfb289773779766c0"],
 }
 
 

@@ -89,15 +89,15 @@ PINS = {
          "e606e21f25ea5f0891169729bd69ecc7d6a112c7db37e0f4d72186611997473d"),
     ],
     ("elastic_chaos", 1): [
-        ("cff5adb818a5e02f822e828aecce5e7a42a228f10523229902c7553e34718c36",
+        ("4aa395050f1a2f48bf9f01a5275506d232d4b4ccc12d1255fd7859dd7c8c7310",
          "5071f154128e5ddfcfb92080829cb3988173626700f9ae85fbd07a1b951a01c4"),
     ],
     ("elastic_chaos", 2): [
-        ("2099c27ce05818589b2fe6397c54eece278139a53bab160e3c6579b45b61c36b",
-         "7599dfbaf3bdd17e2d9ee7e2241f6e2627771eef4e0d34852657d78100f069c5"),
+        ("a5b0cf19bab833b44722932fcde24a7181b3b57360722c717c3d9625f23372fe",
+         "22cf96dc288115946aa7585b3e3882e9e60bf5222a5de66b651eeb8d917e619f"),
     ],
     ("elastic_chaos", 3): [
-        ("d3bdbd8522185547d85f632a58b83aa2e1f4050e913f52829b67567151ce18f1",
+        ("9377172c60d641cc85ed05ba2a1d00a03d99ace966a7a305aa2d4576dd01ecd4",
          "d1b0c675c1dfa5e09bd31bfca0dc427028a87a9658eb2831caf4d5f2d9cbd4a8"),
     ],
 }
